@@ -160,7 +160,7 @@ BENCHMARK(BM_Flatten)->Arg(1 << 12);
 void BM_Alter(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   auto el = graph::make_gnm(n, 4 * n, 3);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   for (graph::VertexId v = 0; v < n; ++v) f.set_parent(v, v / 2);
   for (auto _ : state) {
@@ -175,7 +175,7 @@ BENCHMARK(BM_Alter)->Arg(1 << 12);
 void BM_DedupArcs(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   auto el = graph::make_gnm(n, 4 * n, 5);
-  const auto half = core::arcs_from_edges(el);
+  const auto half = core::arcs_from_input(el);
   auto arcs = half;
   arcs.insert(arcs.end(), half.begin(), half.end());  // force duplicates
   for (auto _ : state) {
@@ -194,7 +194,7 @@ void BM_AlterThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 4 * n, 3);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   for (graph::VertexId v = 0; v < n; ++v) f.set_parent(v, v / 2);
   for (auto _ : state) {
@@ -235,7 +235,7 @@ void BM_DedupArcsThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 2 * n, 5);
-  const auto half = core::arcs_from_edges(el);
+  const auto half = core::arcs_from_input(el);
   auto arcs = half;
   arcs.insert(arcs.end(), half.begin(), half.end());  // force duplicates
   for (auto _ : state) {
@@ -261,11 +261,12 @@ void BM_CollectOngoingThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 4 * n, 7);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   std::vector<std::uint64_t> scratch;
+  std::vector<core::VertexId> ongoing;
   for (auto _ : state) {
-    auto ongoing = core::collect_ongoing(f, arcs, scratch);
+    core::collect_ongoing(f, arcs, scratch, ongoing);
     benchmark::DoNotOptimize(ongoing.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -307,7 +308,7 @@ void BM_ExpandRunThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 3 * n, 9);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::drop_loops(arcs);
   std::vector<graph::VertexId> ongoing(n);
   for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
@@ -336,7 +337,7 @@ void BM_VoteThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 3 * n, 15);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::drop_loops(arcs);
   std::vector<graph::VertexId> ongoing(n);
   for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
@@ -368,7 +369,7 @@ void BM_MaxlinkRoundThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 3 * n, 21);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   std::vector<std::uint8_t> exists(n, 1);
   auto policy = core::ParamPolicy::practical(n, el.edges.size());
   for (auto _ : state) {

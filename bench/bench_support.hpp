@@ -123,8 +123,8 @@ struct RunOutcome {
 /// Runs an algorithm, checks against the oracle, and averages over `reps`
 /// seeds (rounds are averaged, seconds take the median-of-reps minimum).
 /// `base` carries algorithm-specific overrides (seed is replaced per rep).
-/// The ArcsInput overload runs CSR-backed datasets zero-copy (the oracle
-/// BFS too); the EdgeList overload forwards.
+/// CSR-backed datasets run zero-copy (the oracle BFS too); an EdgeList
+/// converts to an ArcsInput view.
 inline RunOutcome run_algorithm(const graph::ArcsInput& in, Algorithm alg,
                                 std::uint64_t base_seed = 1, int reps = 3,
                                 const Options& base = {}) {
@@ -144,13 +144,6 @@ inline RunOutcome run_algorithm(const graph::ArcsInput& in, Algorithm alg,
   out.seconds = util::percentile(secs.values(), 50.0);
   out.rounds = static_cast<std::uint64_t>(rounds.summary().mean + 0.5);
   return out;
-}
-
-inline RunOutcome run_algorithm(const graph::EdgeList& el, Algorithm alg,
-                                std::uint64_t base_seed = 1, int reps = 3,
-                                const Options& base = {}) {
-  return run_algorithm(graph::ArcsInput::from_edges(el), alg, base_seed, reps,
-                       base);
 }
 
 inline void header(const char* id, const char* claim) {

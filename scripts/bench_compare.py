@@ -31,6 +31,13 @@ Robustness choices, deliberate:
   - a cell that is an error cell on one side and a seconds cell on the
     other warns and is skipped (the bench changed meaning; refresh the
     baseline);
+  - hardware warnings never fail: when the documents' sweep
+    .hardware_parallelism differ, every cell compares two hosts, so the
+    gate warns once; and a REGRESSION or IMPROVED verdict on a cell whose
+    thread count exceeds either document's hardware_parallelism is
+    flagged, because an oversubscribed cell measures the host's
+    scheduler, not the code. A document without the field takes no part
+    in either check;
   - --update rewrites the baseline from the new document (commit the result
     to move the trajectory).
 
@@ -108,6 +115,33 @@ def metric_by_cell(doc, path="bench.json"):
         else:
             cells[key] = (kind, min(values))
     return cells
+
+
+def hardware_parallelism(doc):
+    """sweep.hardware_parallelism as an int, or None when not recorded."""
+    value = (doc.get("sweep") or {}).get("hardware_parallelism")
+    return value if isinstance(value, int) and value > 0 else None
+
+
+def hardware_warnings(new_doc, base_doc, decided_cells):
+    """Warning lines (never failures) about where the documents were
+    recorded: a hardware_parallelism mismatch, and decided (regressed or
+    improved) cells that ran more threads than a host had."""
+    new_hw = hardware_parallelism(new_doc)
+    base_hw = hardware_parallelism(base_doc)
+    out = []
+    if new_hw is not None and base_hw is not None and new_hw != base_hw:
+        out.append(f"hardware_parallelism differs (new {new_hw}, baseline "
+                   f"{base_hw}): every cell compares two hosts")
+    known = [hw for hw in (new_hw, base_hw) if hw is not None]
+    if known:
+        hw = min(known)
+        for alg, threads in decided_cells:
+            if threads > hw:
+                out.append(f"cell ({alg!r}, {threads}) ran {threads} threads "
+                           f"on {hw} hardware thread(s): its verdict measures "
+                           f"oversubscription")
+    return out
 
 
 def fmt(kind, value):
@@ -190,6 +224,9 @@ def main():
     for key in sorted(set(base_cells) - set(new_cells)):
         print(f"bench_compare: warning: baseline cell {key} missing from "
               f"new run", file=sys.stderr)
+    decided = [(alg, threads) for alg, threads, *_ in regressions + improvements]
+    for line in hardware_warnings(new_doc, base_doc, decided):
+        print(f"bench_compare: warning: {line}", file=sys.stderr)
 
     # Per-cell summary; ratio = baseline/new, so >1.00x is faster (seconds
     # cells) or more accurate (error cells).

@@ -1,14 +1,10 @@
 #include "baselines/lt_family.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 
-#include "util/arena.hpp"
+#include "core/building_blocks.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/radix.hpp"
-#include "util/random.hpp"
 #include "util/scan.hpp"
 
 namespace logcc::baselines {
@@ -62,68 +58,6 @@ bool shortcut_step(std::vector<VertexId>& p, std::vector<VertexId>& next) {
       [](bool a, bool b) { return a || b; });
   p.swap(next);
   return moved;
-}
-
-/// Edge lists big enough that the bucketed dedup amortises its partition
-/// passes. Chosen by size only — never by thread count — so a given input
-/// always takes the same path (see scan.hpp on the determinism contract).
-constexpr std::size_t kAlterDedupCutoff = 4 * util::kSerialGrain;
-
-bool edge_less(const Edge& a, const Edge& b) {
-  return a.u != b.u ? a.u < b.u : a.v < b.v;
-}
-
-/// ALTER dedup. Small lists: serial sort + unique (the historical path).
-/// Large lists: partition into buckets by mixed high bits of u (equal
-/// edges share u, hence a bucket), radix-sort + unique each bucket on a
-/// worker lane, pack survivors back. Output order is bucket-major —
-/// different from the fully sorted serial path, but deterministic, and
-/// every later round depends only on the edge *set*: connect offers are
-/// min-combined (atomic_min), so labels are order-invariant. Staging is
-/// arena scratch (round arena on the dispatcher, lane arenas on workers).
-void dedup_edges(std::vector<Edge>& edges) {
-  const std::size_t n = edges.size();
-  if (n < kAlterDedupCutoff) {
-    std::sort(edges.begin(), edges.end(), edge_less);
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    return;
-  }
-  std::size_t buckets = 1;
-  while (buckets < 256 && buckets * util::kSerialGrain < n) buckets <<= 1;
-  const int shift = 64 - std::countr_zero(buckets);
-  util::ScratchBuffer<Edge> scattered(n);
-  util::ScratchBuffer<std::size_t> bucket_begin(buckets + 1);
-  util::parallel_bucket_partition_into(
-      edges.data(), n, scattered.data(), bucket_begin.span(), buckets,
-      [shift](const Edge& e) {
-        return static_cast<std::size_t>(util::mix64(e.u) >> shift);
-      });
-  util::ScratchBuffer<std::size_t> kept(buckets);
-  util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    Edge* lo = scattered.data() + bucket_begin[k];
-    const std::size_t len = bucket_begin[k + 1] - bucket_begin[k];
-    if (len < util::kRadixSortCutoff) {
-      std::sort(lo, lo + len, edge_less);
-      kept[k] = static_cast<std::size_t>(std::unique(lo, lo + len) - lo);
-    } else {
-      util::radix_sort_key64(lo, len, [](const Edge& e) {
-        return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
-      });
-      kept[k] = static_cast<std::size_t>(std::unique(lo, lo + len) - lo);
-    }
-  });
-  // Pack surviving bucket prefixes back into the caller's vector.
-  std::size_t total = 0;
-  util::ScratchBuffer<std::size_t> out_begin(buckets);
-  for (std::size_t k = 0; k < buckets; ++k) {
-    out_begin[k] = total;
-    total += kept[k];
-  }
-  edges.resize(total);
-  util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    std::copy_n(scattered.data() + bucket_begin[k], kept[k],
-                edges.data() + out_begin[k]);
-  });
 }
 
 }  // namespace
@@ -266,8 +200,9 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
       }
       edges.swap(edges_next);
       use_working = true;
-      // Deduplicate to keep rounds O(m)-work (bucketed radix when large).
-      dedup_edges(edges);
+      // Deduplicate to keep rounds O(m)-work — the same kernel (and so the
+      // same edge order) as the core algorithms' arc dedup.
+      core::dedup_arcs(edges);
     }
 
     LOGCC_CHECK_MSG(out.rounds <= 1u << 20,
@@ -287,11 +222,6 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
   }
   out.labels = std::move(p);
   return out;
-}
-
-BaselineResult liu_tarjan_variant(const graph::EdgeList& el,
-                                  const LtVariant& variant) {
-  return liu_tarjan_variant(graph::ArcsInput::from_edges(el), variant);
 }
 
 }  // namespace logcc::baselines

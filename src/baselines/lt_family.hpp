@@ -49,18 +49,14 @@ std::vector<LtVariant> lt_all_variants();
 /// so the negative result stays testable.
 std::vector<LtVariant> lt_incorrect_variants();
 
-/// Runs one LT variant. The ArcsInput overload is the real entry point:
-/// every connect/alter round sweeps the edges with a blocked parallel pass
+/// Runs one LT variant. Every connect/alter round sweeps the edges with a blocked parallel pass
 /// (min-combining offers through atomic_min — order-independent, so labels,
 /// per-round change flags, and hence round counts are bit-identical to the
 /// historical serial sweep for every thread count). Variants without ALTER
 /// sweep the input's own storage every round — zero-copy for CSR-backed
 /// (mmap) datasets; variants with ALTER materialize their shrinking
-/// working list on the first round. The EdgeList overload is a forwarding
-/// shim.
+/// working list on the first round.
 BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
-                                  const LtVariant& variant);
-BaselineResult liu_tarjan_variant(const graph::EdgeList& el,
                                   const LtVariant& variant);
 
 }  // namespace logcc::baselines

@@ -1,6 +1,8 @@
 // Sequential baselines: union-find with path splitting and union by rank
 // (Tarjan & van Leeuwen 1984) — the practical sequential yardstick — and a
-// reusable DisjointSets structure used by validators.
+// reusable DisjointSets structure used by validators. Both are templates
+// over the index width V, instantiated for VertexId and VertexId64 in
+// union_find.cpp.
 #pragma once
 
 #include <cstdint>
@@ -11,26 +13,30 @@
 
 namespace logcc::baselines {
 
-class DisjointSets {
+template <typename V>
+class BasicDisjointSets {
  public:
-  explicit DisjointSets(std::uint64_t n);
+  explicit BasicDisjointSets(std::uint64_t n);
 
-  graph::VertexId find(graph::VertexId v);
+  V find(V v);
   /// Returns true if u and v were in different sets (i.e. a merge happened).
-  bool unite(graph::VertexId u, graph::VertexId v);
+  bool unite(V u, V v);
   std::uint64_t num_sets() const { return num_sets_; }
 
  private:
-  std::vector<graph::VertexId> parent_;
+  std::vector<V> parent_;
   std::vector<std::uint8_t> rank_;
   std::uint64_t num_sets_;
 };
 
-/// Connected components via union-find; labels are min vertex ids. The
-/// ArcsInput overload streams edges straight off the backing storage
-/// (zero-copy for CSR datasets); the EdgeList overload is a forwarding
-/// shim.
+using DisjointSets = BasicDisjointSets<graph::VertexId>;
+
+/// Connected components via union-find, at either index width; labels are
+/// min vertex ids (execution-independent, so the wide labels of a graph
+/// that fits 32 bits equal the narrow ones). Streams edges straight off the
+/// input's backing storage (zero-copy for CSR datasets).
 BaselineResult union_find_cc(const graph::ArcsInput& in);
-BaselineResult union_find_cc(const graph::EdgeList& el);
+BasicBaselineResult<graph::VertexId64> union_find_cc(
+    const graph::ArcsInput64& in);
 
 }  // namespace logcc::baselines

@@ -8,6 +8,10 @@
 // Arcs carry the index of the original input edge they were altered from
 // (`orig`), which is what lets the spanning-forest algorithm mark tree edges
 // of the *input* graph (the ê/e distinction of §C).
+//
+// Ingestion and the arc kernels (ALTER, loop drop, dedup, the non-loop
+// test) serve both index widths from one body each, so a wide run of a
+// graph that fits 32 bits sees the same arc sequence as the narrow run.
 #pragma once
 
 #include <cstdint>
@@ -20,46 +24,58 @@
 
 namespace logcc::core {
 
-struct Arc {
-  VertexId u = 0;
-  VertexId v = 0;
-  std::uint32_t orig = 0;  // index into the input EdgeList
-  friend bool operator==(const Arc&, const Arc&) = default;
+/// One arc of the working list, at index width V. `orig` is the index of
+/// the input edge it was altered from, in the input's OrigId type (uint32
+/// narrow, uint64 wide).
+template <typename V>
+struct BasicArc {
+  V u = 0;
+  V v = 0;
+  typename graph::BasicArcsInput<V>::OrigId orig = 0;
+  friend bool operator==(const BasicArc&, const BasicArc&) = default;
 };
 
-/// Builds the initial arc list from the input (one Arc per undirected edge;
-/// algorithms enumerate both directions).
-std::vector<Arc> arcs_from_edges(const graph::EdgeList& el);
+using Arc = BasicArc<VertexId>;
+using Arc64 = BasicArc<VertexId64>;
 
-/// arcs_from_edges generalized to ArcsInput — the CSR-native ingestion
-/// path. Edge-backed inputs copy the span in parallel (identical to
-/// arcs_from_edges); CSR-backed inputs scatter arcs straight out of the
-/// (mmap'd) adjacency with a blocked parallel emit, no intermediate
-/// EdgeList. The emitted (u, v, orig) sequence for a CSR is exactly
-/// arcs_from_edges(edge_list_from_csr(csr)) — the canonical smaller-
-/// endpoint order — so every downstream result is bit-identical between
-/// the two paths, for every thread count.
+/// Builds the initial arc list from the input: one Arc per undirected edge
+/// (algorithms enumerate both directions). Edge-backed inputs copy the span
+/// in parallel; CSR-backed inputs scatter arcs straight out of the (mmap'd)
+/// adjacency with a blocked parallel emit, no intermediate EdgeList. The
+/// emitted (u, v, orig) sequence for a CSR is exactly the one its canonical
+/// edge list (edge_list_from_csr) yields, so every downstream result is
+/// bit-identical between the two paths, for every thread count.
 std::vector<Arc> arcs_from_input(const graph::ArcsInput& in);
+std::vector<Arc64> arcs_from_input(const graph::ArcsInput64& in);
+
+// The kernels below are templates over the index width, defined and
+// explicitly instantiated for VertexId and VertexId64 in building_blocks.cpp.
 
 /// ALTER: every arc (u, v) becomes (u.p, v.p); `orig` is preserved.
 /// Data-parallel map over the arcs.
-void alter(std::vector<Arc>& arcs, const ParentForest& forest);
+template <typename V>
+void alter(std::vector<BasicArc<V>>& arcs, const BasicParentForest<V>& forest);
 
 /// Drops self-loop arcs (u == v) with a stable parallel pack. Returns the
 /// number removed.
-std::uint64_t drop_loops(std::vector<Arc>& arcs);
+template <typename V>
+std::uint64_t drop_loops(std::vector<BasicArc<V>>& arcs);
 
 /// Dedup on (u, v) treating arcs as undirected; keeps the minimum `orig`
 /// per surviving pair. Controls arc-list growth after ALTERs. Small lists
 /// sort+unique serially; large ones bucket-partition by mix64(u) high bits
 /// and sort buckets in parallel. The path is chosen by size only, so for a
 /// given input the output (including its order) is identical on every
-/// thread count.
-void dedup_arcs(std::vector<Arc>& arcs);
+/// thread count — and on both widths, for ids that fit both. A is
+/// BasicArc<V> at either width, or graph::Edge (no orig: the Liu–Tarjan
+/// baselines' ALTER working list).
+template <typename A>
+void dedup_arcs(std::vector<A>& arcs);
 
 /// True iff some arc is not a self-loop — the paper's "no edge exists other
 /// than loops" break condition, negated.
-bool has_nonloop(const std::vector<Arc>& arcs);
+template <typename V>
+bool has_nonloop(const std::vector<BasicArc<V>>& arcs);
 
 /// Sentinel for the collect_ongoing scratch: "vertex not yet seen".
 inline constexpr std::uint64_t kUnseenIndex = static_cast<std::uint64_t>(-1);
@@ -73,15 +89,10 @@ inline constexpr std::uint64_t kUnseenIndex = static_cast<std::uint64_t>(-1);
 /// old serial sweep). `first_seen` is caller-owned scratch the phase loop
 /// hoists: all entries must be kUnseenIndex on entry and are restored
 /// before returning (by clearing only the touched entries), so each phase
-/// costs O(m) parallel work instead of an O(n) re-`assign`.
-std::vector<VertexId> collect_ongoing(const ParentForest& forest,
-                                      const std::vector<Arc>& arcs,
-                                      std::vector<std::uint64_t>& first_seen);
-
-/// Out-parameter form of collect_ongoing: `out` is clear()ed and refilled,
-/// so a phase loop that hoists it reuses its capacity — no per-phase
-/// allocation in steady state (part of the RoundArena zero-allocation
-/// property; see core/round_arena.hpp).
+/// costs O(m) parallel work instead of an O(n) re-`assign`. `out` is
+/// clear()ed and refilled, so a phase loop that hoists it reuses its
+/// capacity — no per-phase allocation in steady state (part of the
+/// RoundArena zero-allocation property; see core/round_arena.hpp).
 void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
                      std::vector<std::uint64_t>& first_seen,
                      std::vector<VertexId>& out);

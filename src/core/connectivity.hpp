@@ -70,19 +70,13 @@ struct ComponentsResult {
   std::uint64_t num_components() const { return index.num_components(); }
 };
 
-/// The ArcsInput overload is the front door: CSR-backed inputs (mmap
-/// datasets, Graph views) run with zero intermediate EdgeList
-/// materialization, and results are bit-identical to running the EdgeList
-/// path on the same canonical edge order.
+/// The front door: CSR-backed inputs (mmap datasets, Graph views) run with
+/// zero intermediate EdgeList materialization, and an EdgeList argument
+/// converts to an ArcsInput view for free; results are bit-identical on
+/// the same canonical edge order (see docs/ARCHITECTURE.md, "ArcsInput
+/// layer").
 ComponentsResult connected_components(
     const graph::ArcsInput& in, Algorithm algorithm = Algorithm::kFasterCC,
-    const Options& options = {});
-/// Legacy: EdgeList forwarding shim, kept for source compatibility. New
-/// code should wrap its edges with graph::ArcsInput::from_edges (free) and
-/// call the overload above — the zero-copy path is the documented entry
-/// point (see docs/ARCHITECTURE.md, "ArcsInput layer").
-ComponentsResult connected_components(
-    const graph::EdgeList& el, Algorithm algorithm = Algorithm::kFasterCC,
     const Options& options = {});
 
 enum class SfAlgorithm {
@@ -99,10 +93,6 @@ struct ForestResult {
 ForestResult spanning_forest(const graph::ArcsInput& in,
                              SfAlgorithm algorithm = SfAlgorithm::kTheorem2,
                              const Options& options = {});
-/// Legacy: EdgeList forwarding shim — see connected_components above.
-ForestResult spanning_forest(const graph::EdgeList& el,
-                             SfAlgorithm algorithm = SfAlgorithm::kTheorem2,
-                             const Options& options = {});
 
 /// Independent O(m α(n)) verification that `index` is exactly the component
 /// structure of the input: every edge joins equal labels, and the index's
@@ -113,12 +103,10 @@ ForestResult spanning_forest(const graph::EdgeList& el,
 /// edges.
 bool verify_components(const graph::ArcsInput& in,
                        const core::ComponentIndex& index);
-/// Label-vector shims (legacy): wrap `labels` in a ComponentIndex (via
-/// from_labels) and verify that. Equal labels iff same component is still
-/// the only contract on the input vector.
+/// Label-vector form: wraps `labels` in a ComponentIndex (via
+/// from_labels) and verifies that. Equal labels iff same component is the
+/// only contract on the input vector.
 bool verify_components(const graph::ArcsInput& in,
-                       const std::vector<graph::VertexId>& labels);
-bool verify_components(const graph::EdgeList& el,
                        const std::vector<graph::VertexId>& labels);
 
 }  // namespace logcc

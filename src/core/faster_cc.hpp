@@ -16,6 +16,7 @@
 #include "core/budget.hpp"
 #include "core/cc_theorem1.hpp"
 #include "core/metrics.hpp"
+#include "graph/arcs_input.hpp"
 #include "graph/graph.hpp"
 
 namespace logcc::core {
@@ -43,11 +44,22 @@ struct FasterCcParams {
   Theorem1Params postprocess;
 };
 
-/// ArcsInput is the real entry point (CSR-backed inputs ingest without an
-/// EdgeList); the EdgeList overload is a forwarding shim.
+/// CSR-backed inputs ingest without an EdgeList.
 CcResult faster_cc(const graph::ArcsInput& in,
                    const FasterCcParams& params = {});
-CcResult faster_cc(const graph::EdgeList& el,
-                   const FasterCcParams& params = {});
+
+/// faster-cc on a 64-bit-index input, through a narrowing bridge (the
+/// EXPAND/MAXLINK table machinery is 32-bit). Inputs whose vertex and edge
+/// counts both fit `narrow_threshold` (capped at 2^32 - 1) delegate
+/// straight to the narrow faster_cc — bit-identical to a native narrow run.
+/// Larger inputs first contract with wide Vanilla phases until at most
+/// narrow_threshold / 2 arcs remain, rename the survivors into a dense
+/// 32-bit space, finish there with the narrow faster_cc, and map labels
+/// back through the wide forest; that branch's exact labels differ from a
+/// narrow run, its canonical partition does not. Lowering
+/// `narrow_threshold` (tests) forces the contract branch at small scale.
+CcResult64 faster_cc(const graph::ArcsInput64& in,
+                     const FasterCcParams& params = {},
+                     std::uint64_t narrow_threshold = 0xFFFFFFFFull);
 
 }  // namespace logcc::core

@@ -61,4 +61,15 @@ struct RunStats {
   }
 };
 
+/// What the CC drivers return: one root id per vertex plus the counters,
+/// at index width V (see graph/graph.hpp, "Index-type contract").
+template <typename V>
+struct BasicCcResult {
+  std::vector<V> labels;  // root id per vertex
+  RunStats stats;
+};
+
+using CcResult = BasicCcResult<std::uint32_t>;
+using CcResult64 = BasicCcResult<std::uint64_t>;
+
 }  // namespace logcc::core

@@ -21,15 +21,17 @@ struct VanillaOptions {
   /// 0 = run until no non-loop edge remains; otherwise stop after this many
   /// phases (the PREPARE use).
   std::uint64_t max_phases = 0;
-  /// Keep the arc list deduplicated between phases (bounds work; semantics
-  /// are unchanged because edges are a set).
-  bool dedup = true;
 };
 
 /// Runs Vanilla phases in place on (forest, arcs). Arcs must connect roots of
 /// flat trees (true initially and re-established every phase). Returns the
 /// number of phases executed; RunStats::phases/pram_steps are advanced.
-std::uint64_t vanilla_phases(ParentForest& forest, std::vector<Arc>& arcs,
+/// One body serves both index widths (instantiated in vanilla.cpp): coins
+/// depend on the vertex's numeric id, so a wide run of a graph that fits 32
+/// bits reproduces the narrow run's labels value for value.
+template <typename V>
+std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
+                             std::vector<BasicArc<V>>& arcs,
                              const VanillaOptions& opt, RunStats& stats);
 
 /// Vanilla-SF phases: additionally records, for every LINK, the original
@@ -38,16 +40,10 @@ std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
                                 std::vector<std::uint8_t>& in_forest,
                                 const VanillaOptions& opt, RunStats& stats);
 
-struct VanillaCcResult {
-  std::vector<VertexId> labels;
-  RunStats stats;
-};
-
-/// Standalone Vanilla connected components. The ArcsInput overload is the
-/// real entry point (CSR-backed inputs ingest without an EdgeList); the
-/// EdgeList overload is a forwarding shim.
-VanillaCcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed = 1);
-VanillaCcResult vanilla_cc(const graph::EdgeList& el, std::uint64_t seed = 1);
+/// Standalone Vanilla connected components, at either index width
+/// (CSR-backed inputs ingest without an EdgeList).
+CcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed = 1);
+CcResult64 vanilla_cc(const graph::ArcsInput64& in, std::uint64_t seed = 1);
 
 struct VanillaSfResult {
   std::vector<std::uint64_t> forest_edges;  // canonical edge indices
@@ -56,6 +52,5 @@ struct VanillaSfResult {
 
 /// Standalone Vanilla-SF spanning forest.
 VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed = 1);
-VanillaSfResult vanilla_sf(const graph::EdgeList& el, std::uint64_t seed = 1);
 
 }  // namespace logcc::core

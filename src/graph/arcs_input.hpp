@@ -11,7 +11,9 @@
 // alias the mmap pages (or a Graph's arrays) directly, and the algorithms'
 // ingestion path (core::arcs_from_input) scatters arcs straight from the
 // CSR into their caller-owned scratch — no intermediate EdgeList ever
-// exists.
+// exists. An EdgeList converts to an ArcsInput implicitly (a free view), so
+// each entry point has exactly one signature per index width and no
+// EdgeList overloads.
 //
 // Canonical edge order — the determinism keystone: a CSR-backed input
 // enumerates each undirected edge from its smaller endpoint, vertices
@@ -25,7 +27,9 @@
 // keep dense uint32 `orig` indices; the wide aliases (CsrView64, ArcsInput64)
 // use uint64 for both ids and orig, so >2^32-edge LOGCCSR2 datasets
 // enumerate without the narrow cap. The canonical edge order is defined once,
-// width-generically, by csr_suffix below.
+// width-generically, by csr_suffix below, and the core kernels that consume
+// it (ingestion, ALTER/dedup, Vanilla, union-find) are one template body per
+// kernel, instantiated at both widths.
 //
 // Ownership rule: ArcsInput owns nothing. The backing storage — the
 // EdgeList vector, the graph::BinaryGraph mmap handle, or the Graph — must
@@ -119,9 +123,13 @@ class BasicArcsInput {
 
   BasicArcsInput() = default;
 
-  static BasicArcsInput from_edges(const BasicEdgeList<V>& el) {
-    return from_edges(el.n, el.edges);
-  }
+  /// Implicit view of an edge list, so every entry point taking an
+  /// ArcsInput also accepts an EdgeList. Same non-owning semantics as
+  /// from_edges(el): `el` must outlive the input (see the ownership rule).
+  BasicArcsInput(const BasicEdgeList<V>& el)
+      : n_(el.n), edges_(el.edges) {}
+
+  static BasicArcsInput from_edges(const BasicEdgeList<V>& el) { return el; }
   static BasicArcsInput from_edges(std::uint64_t n,
                                    std::span<const BasicEdge<V>> edges) {
     BasicArcsInput in;

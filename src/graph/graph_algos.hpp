@@ -33,8 +33,9 @@ bool same_partition(const std::vector<VertexId>& a,
                     const std::vector<VertexId>& b);
 
 /// Canonicalises a labeling to min-id-per-component form (for direct
-/// comparison against bfs_components).
-std::vector<VertexId> canonical_labels(const std::vector<VertexId>& labels);
+/// comparison against bfs_components). Instantiated for both index widths.
+template <typename V>
+std::vector<V> canonical_labels(const std::vector<V>& labels);
 
 /// Eccentricity of `source` within its component (longest BFS distance).
 std::uint64_t eccentricity(const Graph& g, VertexId source);

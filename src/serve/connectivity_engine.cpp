@@ -1,8 +1,10 @@
 #include "serve/connectivity_engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -261,10 +263,20 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
   out.batch = log_.num_batches() + 1;
   out.edges = batch.size();
   // Validate at the boundary BEFORE anything touches disk: the WAL must
-  // never hold a record replay would reject.
+  // never hold a record replay would reject, and one bad request must not
+  // take the server down — it is refused with the state unchanged.
   const std::uint64_t n = num_vertices();
-  for (const Edge& e : batch)
-    LOGCC_CHECK_MSG(e.u < n && e.v < n, "apply_batch: endpoint out of range");
+  for (const Edge& e : batch) {
+    if (e.u >= n || e.v >= n) {
+      out.applied = false;
+      out.durability = Status::invalid_argument(
+          "apply_batch: endpoint out of range: " +
+          std::to_string(std::max(e.u, e.v)) + " >= n=" + std::to_string(n));
+      out.degraded = degraded();
+      out.seconds = timer.seconds();
+      return out;
+    }
+  }
 
   if (durable_) {
     // Write-ahead: the record is on disk (per the fsync policy) before the

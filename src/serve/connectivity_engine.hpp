@@ -109,17 +109,19 @@ struct BatchResult {
   double seconds = 0.0;      // merge + snapshot production (+ verify epoch)
   bool verify_ran = false;   // a rebuild/verify epoch ran after this batch
   bool verified = true;      // false iff it ran and disagreed
-  /// False iff the write-ahead append failed before the record landed: the
-  /// batch was NOT applied (memory and disk both exclude it — retry or drop
-  /// it, the engine state is unchanged). `durability` then carries the
-  /// reason. A record that reached the file but missed its fsync barrier
+  /// False iff the batch was refused (an endpoint >= n:
+  /// kInvalidArgument) or the write-ahead append failed before the record
+  /// landed: the batch was NOT applied (memory and disk both exclude it,
+  /// the engine state and epoch are unchanged — fix, retry or drop it).
+  /// `durability` then carries the reason. A record that reached the file but missed its fsync barrier
   /// still applies (replay would see it; retrying would duplicate it) with
   /// the error reported in `durability`.
   bool applied = true;
   /// The engine was in (or entered) degraded mode during this batch.
   bool degraded = false;
-  /// First durability error of this call (WAL append/sync or checkpoint
-  /// write). OK when durability is off. A checkpoint failure leaves the
+  /// First error of this call: the refusal reason of an unapplied batch,
+  /// else the WAL append/sync or checkpoint-write error. OK when
+  /// durability is off and the batch applied. A checkpoint failure leaves the
   /// batch applied — recovery just replays a longer WAL suffix.
   util::Status durability;
 };
@@ -162,8 +164,9 @@ class ConnectivityEngine {
 
   // --- writer side (one thread at a time) --------------------------------
   /// Inserts a batch of edges and publishes the next snapshot epoch.
-  /// Endpoints must be < n (LOGCC_CHECK). Self-loops and duplicates are
-  /// tolerated. Runs a rebuild/verify epoch when the cadence says so.
+  /// A batch with an endpoint >= n is refused (applied == false,
+  /// kInvalidArgument) before the WAL sees it. Self-loops and duplicates
+  /// are tolerated. Runs a rebuild/verify epoch when the cadence says so.
   /// Durable engines append the batch to the WAL first; if that fails the
   /// batch is not applied (result.applied == false) and the engine state
   /// is unchanged.

@@ -93,19 +93,6 @@ TEST(Api, OptionsSeedThreadsThrough) {
   EXPECT_TRUE(graph::same_partition(ra.labels(), rb.labels()));
 }
 
-TEST(Api, LegacyEdgeListShimsStillForward) {
-  // The EdgeList overloads are legacy forwarding shims (see
-  // core/connectivity.hpp); this test pins them so downstream code keeps
-  // compiling and agreeing with the ArcsInput front door.
-  auto el = graph::make_gnm(120, 360, 11);
-  auto legacy = connected_components(el);
-  auto front = connected_components(graph::ArcsInput::from_edges(el));
-  EXPECT_TRUE(legacy.index == front.index);
-  EXPECT_TRUE(verify_components(el, legacy.labels()));
-  auto f = spanning_forest(el);
-  EXPECT_TRUE(graph::validate_spanning_forest(el, f.forest_edges).ok);
-}
-
 TEST(Api, StatsAbsorbMergesSubRuns) {
   core::RunStats a, b;
   a.rounds = 3;
@@ -135,7 +122,7 @@ TEST(Api, VerifyComponentsAcceptsTrueLabels) {
 
 TEST(Api, VerifyComponentsRejectsWrongSizes) {
   // Same partition, doctored sizes: only the index-level certificate can
-  // see this — the label shim canonicalizes and recounts.
+  // see this — the label-vector form canonicalizes and recounts.
   auto el = graph::make_path(6);
   const auto in = graph::ArcsInput::from_edges(el);
   auto good = core::ComponentIndex::from_labels(

@@ -313,6 +313,44 @@ TEST_F(Recovery, FailedWalAppendLeavesEngineUnchanged) {
   EXPECT_TRUE(*engine->snapshot() == *reference_index(2));
 }
 
+TEST_F(Recovery, OutOfRangeBatchIsRefusedBeforeTheWal) {
+  // One bad request must not kill a durable server: the batch is refused
+  // with kInvalidArgument, no WAL byte is written, the epoch stays, and a
+  // recovery sees exactly the pre-rejection state.
+  const std::string dir = test_dir("bad_batch");
+  clean_dir(dir);
+  const auto batches = workload();
+  std::unique_ptr<ConnectivityEngine> engine;
+  ASSERT_TRUE(ConnectivityEngine::recover(dir, kN, durable_options(dir),
+                                          &engine, nullptr)
+                  .is_ok());
+  engine->apply_batch(batches[0]);
+  engine->apply_batch(batches[1]);
+  const auto before = engine->snapshot();
+  const std::uint64_t epoch_before = engine->epoch();
+  const std::uint64_t wal_before = engine->wal_offset();
+
+  std::vector<graph::Edge> bad = batches[2];
+  bad.push_back({0, static_cast<graph::VertexId>(kN)});
+  const auto res = engine->apply_batch(bad);
+  EXPECT_FALSE(res.applied);
+  EXPECT_EQ(res.durability.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->wal_offset(), wal_before) << "rejected batch hit the WAL";
+  EXPECT_EQ(engine->epoch(), epoch_before);
+  EXPECT_EQ(engine->num_batches(), 2u);
+  EXPECT_TRUE(*engine->snapshot() == *before);
+  engine.reset();
+
+  std::unique_ptr<ConnectivityEngine> recovered;
+  ASSERT_TRUE(ConnectivityEngine::recover(dir, kN, durable_options(dir),
+                                          &recovered, nullptr)
+                  .is_ok());
+  EXPECT_EQ(recovered->num_batches(), 2u);
+  EXPECT_TRUE(*recovered->snapshot() == *before);
+  recovered.reset();
+  clean_dir(dir);
+}
+
 TEST_F(Recovery, FailedCheckpointKeepsBatchApplied) {
   const std::string dir = test_dir("ckpt_error");
   clean_dir(dir);

@@ -110,10 +110,20 @@ TEST(Serve, ToleratesSelfLoopsDuplicatesAndEmptyBatches) {
               recompute(4, engine.edges().edges()));
 }
 
-TEST(ServeDeath, RejectsOutOfRangeEndpoints) {
+TEST(Serve, RejectsOutOfRangeEndpointsWithoutApplying) {
   ConnectivityEngine engine(3);
-  EXPECT_DEATH(engine.apply_batch(std::vector<Edge>{{0, 3}}),
-               "endpoint out of range");
+  engine.apply_batch(std::vector<Edge>{{0, 1}});
+  const auto before = engine.snapshot();
+  const std::uint64_t epoch_before = engine.epoch();
+  const auto res = engine.apply_batch(std::vector<Edge>{{1, 2}, {0, 3}});
+  EXPECT_FALSE(res.applied);
+  EXPECT_EQ(res.durability.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(res.durability.message().find("endpoint out of range"),
+            std::string::npos);
+  EXPECT_EQ(engine.epoch(), epoch_before);
+  EXPECT_EQ(engine.num_batches(), 1u);
+  EXPECT_EQ(engine.num_edges(), 1u);  // the valid edge (1, 2) is not kept
+  EXPECT_TRUE(*engine.snapshot() == *before);
 }
 
 TEST(Serve, EpochAdvancesPerBatchAndOldSnapshotsSurvive) {

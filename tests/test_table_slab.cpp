@@ -244,7 +244,7 @@ std::vector<Arc> make_dup_heavy_arcs(std::uint64_t n, std::uint64_t seed) {
   // large enough for the bucketed path and for many buckets to cross
   // kRadixSortCutoff.
   auto el = graph::make_gnm(n, 2 * n, seed);
-  auto half = arcs_from_edges(el);
+  auto half = arcs_from_input(el);
   std::vector<Arc> arcs = half;
   arcs.insert(arcs.end(), half.rbegin(), half.rend());
   arcs.insert(arcs.end(), half.begin(), half.end());
