@@ -6,7 +6,13 @@
 // regressions; the asymptotic claims live in the F/T benches.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "core/building_blocks.hpp"
 #include "core/round_arena.hpp"
@@ -17,6 +23,7 @@
 #include "core/hash_table.hpp"
 #include "core/labels.hpp"
 #include "core/vote.hpp"
+#include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "util/arena.hpp"
@@ -533,6 +540,42 @@ void BM_ApproximateCompaction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproximateCompaction)->Arg(1 << 12)->Arg(1 << 16);
+
+// Deep CSR validation (structure + transpose-walk symmetry + edge count) on
+// an rmat file of 2^18 vertices — the validation layer of every binary
+// load. The file is written once and unlinked as soon as it is mapped.
+const graph::BinaryGraph* validate_fixture() {
+  static const std::unique_ptr<graph::BinaryGraph> bg = [] {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("logcc_bench_validate_" + std::to_string(::getpid()) + ".bin"))
+            .string();
+    auto g = std::make_unique<graph::BinaryGraph>();
+    std::string error;
+    const bool ok =
+        graph::stream_family_to_binary("rmat", 1 << 18, 3, path, &error) &&
+        g->open(path, &error);
+    std::remove(path.c_str());
+    return ok ? std::move(g) : nullptr;
+  }();
+  return bg.get();
+}
+
+void BM_ValidateCsr(benchmark::State& state) {
+  ThreadGuard guard(static_cast<int>(state.range(0)));
+  const graph::BinaryGraph* bg = validate_fixture();
+  if (!bg) {
+    state.SkipWithError("could not write or map the rmat CSR file");
+    return;
+  }
+  std::string error;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::validate_csr(bg->view(), &error));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bg->view().num_arcs()));
+}
+BENCHMARK(BM_ValidateCsr)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_BfsOracle(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));

@@ -377,48 +377,61 @@ template <typename V>
 bool validate_csr_impl(const BasicCsrView<V>& v, std::string* error) {
   if (!validate_csr_structure_impl(v, error)) return false;
   const std::uint64_t n = v.n;
-  // Arc symmetry with *multiplicity*: for every distinct neighbor w of u,
-  // the number of (u, w) arcs must equal the number of (w, u) arcs — a
-  // membership-only check would accept e.g. adj(0)=[1,1,1], adj(1)=[0],
-  // whose canonical edge enumeration then disagrees with the header count
-  // (and with everything sized from it). Lists are sorted, so runs and
-  // equal_range do it in O(m log deg). Self-loops are their own reverse.
-  const bool symmetric = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), true,
-      [&](std::size_t u) {
-        auto nb = v.neighbors(static_cast<V>(u));
-        for (std::size_t i = 0; i < nb.size();) {
-          const V w = nb[i];
-          std::size_t j = i;
-          while (j < nb.size() && nb[j] == w) ++j;  // multiplicity at u
-          if (w != static_cast<V>(u)) {
-            auto back = v.neighbors(w);
-            auto range =
-                std::equal_range(back.begin(), back.end(), static_cast<V>(u));
-            if (static_cast<std::size_t>(range.second - range.first) != j - i)
-              return false;
-          }
-          i = j;
+  // Arc symmetry with *multiplicity*, as one transpose walk: visit rows u in
+  // ascending order; row w owns a cursor starting at offsets[w], and every
+  // arc (u, w) must find adj[cursor[w]] == u (cursor still inside row w),
+  // then advance it. Every matched arc consumes one slot of its target's
+  // row and there are as many arcs as slots, so once all arcs have matched
+  // every cursor sits at offsets[w+1] — no end-of-walk pass is needed.
+  // Rows are sorted, so row w is consumed in exactly the order the walk
+  // emits u: this accepts iff, for all u and w, the multiplicity of w in
+  // row u equals that of u in row w. (A membership-only check would accept
+  // e.g. adj(0)=[1,1,1], adj(1)=[0], whose canonical edge enumeration then
+  // disagrees with the header count and everything sized from it.)
+  // Self-loops are their own reverse and are counted in the same walk.
+  //
+  // The targets are split into contiguous blocks, one per worker; a block
+  // takes its slice of every row with two lower_bounds and advances only
+  // its own targets' cursors, so writes are disjoint and the verdict does
+  // not depend on the block count. Cost O(m + blocks·n·log deg), n words.
+  const std::size_t blocks =
+      static_cast<std::size_t>(std::max(1, util::hardware_parallelism()));
+  const auto block_begin = [&](std::size_t b) {
+    return b * (n / blocks) + std::min<std::uint64_t>(b, n % blocks);
+  };
+  std::vector<std::uint64_t> cursor(v.offsets, v.offsets + n);
+  std::vector<std::uint8_t> block_ok(blocks, 1);
+  std::vector<std::uint64_t> block_loops(blocks, 0);
+  util::parallel_for_blocks(blocks, [&](std::size_t b) {
+    const std::uint64_t lo = block_begin(b);
+    const std::uint64_t hi = block_begin(b + 1);
+    if (lo == hi) return;
+    std::uint64_t loops = 0;
+    for (std::uint64_t u = 0; u < n; ++u) {
+      const V* row = v.adj + v.offsets[u];
+      const V* end = v.adj + v.offsets[u + 1];
+      const V* first = lo == 0 ? row : std::lower_bound(row, end, lo);
+      const V* last = hi == n ? end : std::lower_bound(first, end, hi);
+      for (const V* p = first; p != last; ++p) {
+        const V w = *p;
+        if (cursor[w] == v.offsets[w + 1] || v.adj[cursor[w]] != u) {
+          block_ok[b] = 0;
+          return;
         }
-        return true;
-      },
-      [](bool a, bool b) { return a && b; });
-  if (!symmetric) {
+        ++cursor[w];
+        loops += w == u;
+      }
+    }
+    block_loops[b] = loops;
+  });
+  if (std::find(block_ok.begin(), block_ok.end(), 0) != block_ok.end()) {
     set_error(error,
               "asymmetric adjacency: arc multiplicities disagree between "
               "endpoint lists");
     return false;
   }
-  // Self-loop count (sums commute: thread-count-invariant reduction).
-  const std::uint64_t self_loops = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), std::uint64_t{0},
-      [&](std::size_t u) {
-        auto nb = v.neighbors(static_cast<V>(u));
-        auto range =
-            std::equal_range(nb.begin(), nb.end(), static_cast<V>(u));
-        return static_cast<std::uint64_t>(range.second - range.first);
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  std::uint64_t self_loops = 0;
+  for (std::uint64_t loops : block_loops) self_loops += loops;
   // Together with multiplicity symmetry above, this pins the header edge
   // count to the canonical smaller-endpoint enumeration: every non-loop
   // pair {u, w} of multiplicity k contributes k arcs at each endpoint and

@@ -112,8 +112,11 @@ class BinaryGraph {
 bool validate_csr_structure(const CsrView& v, std::string* error = nullptr);
 bool validate_csr_structure(const CsrView64& v, std::string* error = nullptr);
 
-/// Deep validation: validate_csr_structure plus arc symmetry (every arc has
-/// its reverse) and header edge-count consistency. O(n + m log deg).
+/// Deep validation: validate_csr_structure plus arc symmetry with
+/// multiplicity and header edge-count consistency. Symmetry is one
+/// transpose walk (rows ascending, each arc (u, w) must meet u under row
+/// w's cursor) over per-thread target blocks: O(m + blocks·n·log deg) time,
+/// n words of scratch, verdict and error independent of the thread count.
 /// load_dataset runs this on every binary file before handing the graph to
 /// an algorithm (structure alone would let an asymmetric file silently
 /// drop edges); tests and `cc_tool --convert` run it after writing. The

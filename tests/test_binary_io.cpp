@@ -6,13 +6,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "graph/io.hpp"
+#include "test_support.hpp"
 #include "util/mmap_file.hpp"
 #include "util/parallel.hpp"
+#include "util/random.hpp"
 
 namespace logcc::graph {
 namespace {
@@ -296,6 +300,184 @@ TEST_F(BinaryIoHeader, ValidateCatchesCorruptAdjacency) {
   std::string error;
   ASSERT_TRUE(bg.open(path_, &error)) << error;  // envelope still fine
   EXPECT_FALSE(validate_csr(bg.view(), &error));
+}
+
+// ------------------------------------------------------- symmetry oracle ---
+
+constexpr const char* kAsymmetric =
+    "asymmetric adjacency: arc multiplicities disagree between endpoint lists";
+
+struct Verdict {
+  bool ok;
+  std::string error;
+};
+
+// An in-memory CSR of either width; rows are kept sorted so the structure
+// pass always holds and every verdict is decided by symmetry / edge count.
+struct MemCsr {
+  std::vector<std::vector<std::uint64_t>> rows;
+  std::uint64_t edges = 0;
+
+  void add_edge(std::uint64_t u, std::uint64_t w) {
+    rows[u].push_back(w);
+    if (u != w) rows[w].push_back(u);
+    ++edges;
+  }
+  void sort_rows() {
+    for (auto& r : rows) std::sort(r.begin(), r.end());
+  }
+
+  template <typename V>
+  Verdict validate() const {
+    std::vector<std::uint64_t> offsets{0};
+    std::vector<V> adj;
+    for (const auto& r : rows) {
+      for (std::uint64_t w : r) adj.push_back(static_cast<V>(w));
+      offsets.push_back(adj.size());
+    }
+    Verdict v{false, ""};
+    v.ok = validate_csr(
+        BasicCsrView<V>{rows.size(), edges, offsets.data(), adj.data()},
+        &v.error);
+    return v;
+  }
+
+  // Brute force: the arc multiset equals its transpose (a self-loop arc is
+  // its own reverse) and the header counts each non-loop pair once per
+  // two arcs and each self-loop arc once.
+  bool oracle_accepts() const {
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> count;
+    std::uint64_t arcs = 0, loops = 0;
+    for (std::uint64_t u = 0; u < rows.size(); ++u)
+      for (std::uint64_t w : rows[u]) {
+        ++count[{u, w}];
+        ++arcs;
+        loops += u == w;
+      }
+    for (const auto& [arc, k] : count) {
+      auto back = count.find({arc.second, arc.first});
+      if (back == count.end() || back->second != k) return false;
+    }
+    return (arcs + loops) % 2 == 0 && (arcs + loops) / 2 == edges;
+  }
+};
+
+// Random small multigraphs (self-loops and parallel arcs included) plus
+// single-point mutants: an arc dropped, added or retargeted (rows re-sorted,
+// so the structure pass still holds), or the header edge count off by one.
+MemCsr random_csr(util::SplitMix64& rng) {
+  MemCsr g;
+  const std::uint64_t n = 1 + rng() % 12;
+  g.rows.resize(n);
+  const std::uint64_t m = rng() % (2 * n + 3);
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const std::uint64_t u = rng() % n;
+    const std::uint64_t w = rng() % 4 == 0 ? u : rng() % n;
+    g.add_edge(u, w);
+    if (rng() % 5 == 0) g.add_edge(u, w);  // parallel copy
+  }
+  std::vector<std::uint64_t> nonempty;
+  for (std::uint64_t u = 0; u < n; ++u)
+    if (!g.rows[u].empty()) nonempty.push_back(u);
+  switch (rng() % 10) {  // cases 1-5 mutate: about half the corpus
+    case 1:  // drop one arc
+      if (!nonempty.empty()) {
+        auto& r = g.rows[nonempty[rng() % nonempty.size()]];
+        r.erase(r.begin() + static_cast<std::ptrdiff_t>(rng() % r.size()));
+      }
+      break;
+    case 2:  // add one arc
+      g.rows[rng() % n].push_back(rng() % n);
+      break;
+    case 3:  // retarget one arc
+      if (!nonempty.empty()) {
+        auto& r = g.rows[nonempty[rng() % nonempty.size()]];
+        r[rng() % r.size()] = rng() % n;
+      }
+      break;
+    case 4:
+      ++g.edges;
+      break;
+    case 5:
+      if (g.edges > 0) --g.edges;
+      break;
+    default:  // unmutated
+      break;
+  }
+  g.sort_rows();
+  return g;
+}
+
+class ValidateCsr : public testing::ThreadInvariance {};
+
+TEST_F(ValidateCsr, AgreesWithBruteForceTransposeAtEveryThreadCount) {
+  util::SplitMix64 rng(20260417);
+  std::vector<MemCsr> corpus;
+  for (int i = 0; i < 10000; ++i) corpus.push_back(random_csr(rng));
+  // One sweep per thread count: 8 blocks over n <= 12 targets leaves some
+  // blocks empty, and 3 blocks split no n in 1..12 evenly more than once.
+  std::vector<std::vector<Verdict>> narrow, wide;
+  for (int threads : {1, 2, 3, 8}) {
+    util::set_parallelism(threads);
+    narrow.emplace_back();
+    wide.emplace_back();
+    for (const MemCsr& g : corpus) {
+      narrow.back().push_back(g.validate<VertexId>());
+      wide.back().push_back(g.validate<VertexId64>());
+    }
+  }
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const bool expected = corpus[i].oracle_accepts();
+    rejected += !expected;
+    for (std::size_t t = 0; t < narrow.size(); ++t) {
+      for (const auto* sweep : {&narrow, &wide}) {
+        const Verdict& got = (*sweep)[t][i];
+        ASSERT_EQ(got.ok, expected) << "graph " << i << ", sweep " << t
+                                    << ": " << got.error;
+        EXPECT_EQ(got.error, (*sweep)[0][i].error) << "graph " << i;
+      }
+    }
+  }
+  // The mutants must actually exercise both verdicts.
+  EXPECT_GT(rejected, corpus.size() / 4);
+  EXPECT_LT(rejected, corpus.size() * 3 / 4);
+}
+
+TEST_F(ValidateCsr, AsymmetricArcAtEveryTargetBlockBoundaryIsRejected) {
+  // 24 vertices split evenly into 1, 2, 3 and 8 target blocks. Hub 1 is
+  // joined to every vertex but 4, so its row spans every block; vertex 4
+  // is isolated. Neither is ever a block's first or last target.
+  constexpr std::uint64_t kN = 24, kHub = 1, kLone = 4;
+  MemCsr star;
+  star.rows.resize(kN);
+  for (std::uint64_t w = 0; w < kN; ++w)
+    if (w != kHub && w != kLone) star.add_edge(kHub, w);
+  for (int threads : {1, 2, 3, 8}) {
+    util::set_parallelism(threads);
+    EXPECT_TRUE(star.validate<VertexId>().ok);
+    EXPECT_TRUE(star.validate<VertexId64>().ok);
+  }
+  for (std::uint64_t blocks : {1, 2, 3, 8}) {
+    const std::uint64_t width = kN / blocks;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      for (std::uint64_t w : {b * width, (b + 1) * width - 1}) {
+        // A lone 4 -> w arc: row 4 holds nothing any other arc must match,
+        // so only the walk over w's own cursor (in w's block) can see it.
+        MemCsr g = star;
+        g.rows[kLone].push_back(w);
+        for (int threads : {1, 2, 3, 8}) {
+          util::set_parallelism(threads);
+          const Verdict narrow = g.validate<VertexId>();
+          const Verdict wide = g.validate<VertexId64>();
+          EXPECT_FALSE(narrow.ok) << "target " << w << ", " << threads;
+          EXPECT_FALSE(wide.ok) << "target " << w << ", " << threads;
+          EXPECT_EQ(narrow.error, kAsymmetric);
+          EXPECT_EQ(wide.error, kAsymmetric);
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- view + loader ---
