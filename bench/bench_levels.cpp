@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t n : {1024ULL, 4096ULL, 16384ULL, 65536ULL}) {
     for (std::uint64_t density : {2ULL, 8ULL}) {
       graph::EdgeList el = graph::make_gnm(n, density * n, n + density);
-      const auto in = graph::ArcsInput::from_edges(el);
+      const graph::ArcsInput in(el);
       core::ParamPolicy policy = core::ParamPolicy::practical(2 * n, el.edges.size());
       std::uint32_t max_level = 0;
       std::uint64_t raises = 0;

@@ -36,17 +36,13 @@ namespace {
 
 using namespace logcc;
 
-// Ambient runtime configuration, captured lazily on first use (function-
-// local statics, NOT namespace-scope initializers: those would race the
-// cross-TU dynamic initialization of parallel.cpp's own globals). Guards
-// force the capture in their constructors, before mutating anything.
+// Ambient thread count, captured lazily on first use (a function-local
+// static, NOT a namespace-scope initializer: that would race the cross-TU
+// dynamic initialization of parallel.cpp's own globals). ThreadGuard forces
+// the capture in its constructor, before mutating anything.
 int default_threads() {
   static const int threads = util::hardware_parallelism();
   return threads;
-}
-util::ParallelBackend default_backend() {
-  static const util::ParallelBackend backend = util::parallel_backend();
-  return backend;
 }
 
 /// Applies the benchmark's thread-count argument (range(1)) for its run.
@@ -56,17 +52,6 @@ struct ThreadGuard {
     util::set_parallelism(threads);
   }
   ~ThreadGuard() { util::set_parallelism(default_threads()); }
-};
-
-/// Pins a dispatch backend for one benchmark run (pool vs OpenMP vs serial
-/// comparisons).
-struct BackendGuard {
-  explicit BackendGuard(util::ParallelBackend b) {
-    default_threads();  // capture both ambients before the backend switch
-    default_backend();
-    util::set_parallel_backend(b);
-  }
-  ~BackendGuard() { util::set_parallel_backend(default_backend()); }
 };
 
 void BM_PairwiseHash(benchmark::State& state) {
@@ -415,17 +400,15 @@ BENCHMARK(BM_PrefixSumThreaded)
     ->Args({1 << 20, 4})
     ->UseRealTime();
 
-// ---- Parallel-runtime microbenchmarks: per-dispatch latency of each
-// backend (the overhead every PRAM step of every round pays) and the
-// round-scratch arena. Args are {n, threads}.
+// ---- Parallel-runtime microbenchmarks: the pool's per-dispatch latency
+// (the overhead every PRAM step of every round pays) and the round-scratch
+// arena. Args are {n, threads}.
 
-template <util::ParallelBackend kBackend>
 void BM_DispatchLatency(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  BackendGuard backend(kBackend);
   ThreadGuard guard(static_cast<int>(state.range(1)));
-  // Near-empty body: the measurement is the fork/join (OpenMP) vs
-  // wake/park (pool) cost per parallel_for, amortized per dispatch.
+  // Near-empty body: the measurement is the pool's wake/park cost per
+  // parallel_for, amortized per dispatch.
   std::atomic<std::uint64_t> sink{0};
   for (auto _ : state) {
     util::parallel_for(0, n, [&](std::size_t i) {
@@ -435,22 +418,13 @@ void BM_DispatchLatency(benchmark::State& state) {
   benchmark::DoNotOptimize(sink.load());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DispatchLatency<util::ParallelBackend::kPool>)
+BENCHMARK(BM_DispatchLatency)
     ->Args({util::kSerialGrain, 4})
     ->Args({util::kSerialGrain, 8})
     ->Args({1 << 16, 8})
     ->UseRealTime();
-#ifdef LOGCC_HAVE_OPENMP
-BENCHMARK(BM_DispatchLatency<util::ParallelBackend::kOpenMP>)
-    ->Args({util::kSerialGrain, 4})
-    ->Args({util::kSerialGrain, 8})
-    ->Args({1 << 16, 8})
-    ->UseRealTime();
-#endif
 
-template <util::ParallelBackend kBackend>
 void BM_DispatchBlocks(benchmark::State& state) {
-  BackendGuard backend(kBackend);
   ThreadGuard guard(static_cast<int>(state.range(1)));
   const std::size_t blocks = static_cast<std::size_t>(state.range(0));
   std::atomic<std::uint64_t> sink{0};
@@ -462,14 +436,7 @@ void BM_DispatchBlocks(benchmark::State& state) {
   benchmark::DoNotOptimize(sink.load());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DispatchBlocks<util::ParallelBackend::kPool>)
-    ->Args({64, 8})
-    ->UseRealTime();
-#ifdef LOGCC_HAVE_OPENMP
-BENCHMARK(BM_DispatchBlocks<util::ParallelBackend::kOpenMP>)
-    ->Args({64, 8})
-    ->UseRealTime();
-#endif
+BENCHMARK(BM_DispatchBlocks)->Args({64, 8})->UseRealTime();
 
 void BM_ArenaAllocReset(benchmark::State& state) {
   // One simulated round: the scratch-request mix of a mid-size phase

@@ -89,8 +89,7 @@ int main(int argc, char** argv) {
   std::sort(sorted.begin(), sorted.end());
   const auto exact_distinct = static_cast<double>(
       std::unique(sorted.begin(), sorted.end()) - sorted.begin());
-  auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                Algorithm::kFasterCC, {});
+  auto r = connected_components(el, Algorithm::kFasterCC, {});
   const std::vector<graph::VertexId> labels = r.labels();
   const auto exact_components = static_cast<double>(r.num_components());
   std::vector<std::uint64_t> exact_size(el.n, 0);

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (const Cell& cell : cells) {
     auto oracle =
         graph::bfs_components(graph::Graph::from_edges(cell.el));
-    const auto in = graph::ArcsInput::from_edges(cell.el);
+    const graph::ArcsInput in(cell.el);
     for (Algorithm alg : {Algorithm::kFasterCC, Algorithm::kTheorem1,
                           Algorithm::kVanilla}) {
       int wrong = 0, finisher = 0;

@@ -15,9 +15,11 @@
 //
 // Exit status: 0 iff every run passed its checks (determinism across the
 // sweep, plus the union-find certificate unless --no-verify).
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
 #include <map>
+#include <thread>
 
 #include "bench_support.hpp"
 #include "util/parallel.hpp"
@@ -53,7 +55,7 @@ std::uint64_t labels_fingerprint(const std::vector<graph::VertexId>& labels) {
 struct RunRecord {
   std::string algorithm;
   int threads = 0;            // requested
-  int threads_effective = 0;  // what the backend actually honoured
+  int threads_effective = 0;  // lanes the pool ran (always == threads)
   int rep = 0;
   double seconds = 0.0;
   std::uint64_t components = 0;
@@ -94,10 +96,6 @@ int main(int argc, char** argv) {
       "populate", "none",
       "mmap page population for binary datasets: none|willneed|populate "
       "(recorded in bench.json)");
-  const std::string backend_arg = cli.get_string(
-      "backend", "",
-      "parallel dispatch backend: pool|omp|serial (default: the process "
-      "default, LOGCC_BACKEND)");
   cli.finish();
 
   util::MmapPopulate populate = util::MmapPopulate::kNone;
@@ -109,19 +107,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cc_bench: bad --populate '%s'\n",
                  populate_arg.c_str());
     return 2;
-  }
-  if (!backend_arg.empty()) {
-    if (backend_arg == "pool") {
-      util::set_parallel_backend(util::ParallelBackend::kPool);
-    } else if (backend_arg == "omp") {
-      util::set_parallel_backend(util::ParallelBackend::kOpenMP);
-    } else if (backend_arg == "serial") {
-      util::set_parallel_backend(util::ParallelBackend::kSerial);
-    } else {
-      std::fprintf(stderr, "cc_bench: bad --backend '%s'\n",
-                   backend_arg.c_str());
-      return 2;
-    }
   }
 
   // Validate the sweep flags BEFORE the (potentially minutes-long) dataset
@@ -215,18 +200,15 @@ int main(int argc, char** argv) {
     std::printf("streamed to %s in %.2fs (%" PRIu64 " file bytes, mmap)\n",
                 binary_cache.c_str(), stream_seconds, info.file_bytes);
 
-  const int max_threads = util::hardware_parallelism();
+  const int ambient_threads = util::hardware_parallelism();
+  // The host's hardware threads, not the ambient OMP_NUM_THREADS width:
+  // bench_compare flags cells wider than this as oversubscribed.
+  const int host_threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   std::vector<RunRecord> runs;
   for (int t : threads) {
     util::set_parallelism(t);
-    // Serial builds ignore set_parallelism; record what actually ran so the
-    // perf trajectory never contains fabricated thread-scaling rows.
     const int effective = util::hardware_parallelism();
-    if (effective != t)
-      std::fprintf(stderr,
-                   "cc_bench: warning: requested %d threads, backend runs "
-                   "%d (serial build?)\n",
-                   t, effective);
     for (const std::string& alg_name : algorithms) {
       const Algorithm alg = algorithm_from_string(alg_name);
       for (int rep = 0; rep < reps; ++rep) {
@@ -252,7 +234,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  util::set_parallelism(max_threads);
+  util::set_parallelism(ambient_threads);
 
   // Determinism verdict: for each (algorithm, rep), every thread count must
   // produce the same component count and label fingerprint.
@@ -310,7 +292,7 @@ int main(int argc, char** argv) {
                  "  \"deterministic\": %s,\n"
                  "  \"verified\": %s,\n"
                  "  \"runs\": [\n",
-                 reps, seed, max_threads, deterministic ? "true" : "false",
+                 reps, seed, host_threads, deterministic ? "true" : "false",
                  no_verify ? "null" : (all_verified ? "true" : "false"));
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const RunRecord& r = runs[i];

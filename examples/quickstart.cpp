@@ -19,10 +19,10 @@ int main() {
                                       /*seed=*/42);
 
   // 2. Connected components with the O(log d + log log_{m/n} n) algorithm.
-  // ArcsInput is the zero-copy front door (CSR datasets plug in the same
-  // way); the result carries a ComponentIndex snapshot.
-  ComponentsResult r =
-      connected_components(graph::ArcsInput::from_edges(g));  // kFasterCC
+  // The EdgeList converts implicitly to an ArcsInput, the zero-copy front
+  // door (CSR datasets plug in the same way); the result carries a
+  // ComponentIndex snapshot.
+  ComponentsResult r = connected_components(g);  // kFasterCC
 
   // 3. labels()[v] == labels()[w] iff v and w are connected; the index also
   // answers point queries directly.
@@ -50,7 +50,7 @@ int main() {
               graph::same_partition(oracle, r.labels()) ? "yes" : "NO");
 
   // 6. A spanning forest of the same graph (Theorem 2).
-  ForestResult f = spanning_forest(graph::ArcsInput::from_edges(g));
+  ForestResult f = spanning_forest(g);
   std::printf("spanning forest edges: %llu (= n - #components: %s)\n",
               static_cast<unsigned long long>(f.forest_edges.size()),
               f.forest_edges.size() == g.n - r.num_components() ? "yes" : "NO");

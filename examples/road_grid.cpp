@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
                                   : graph::make_grid(rows, cols);
     std::uint64_t d = rows == 1 ? cols - 1 : rows + cols - 2;
 
-    const auto in = graph::ArcsInput::from_edges(g);
+    const graph::ArcsInput in(g);
     auto fast = connected_components(in, Algorithm::kFasterCC);
     auto vanilla = connected_components(in, Algorithm::kVanilla);
     auto bfs = connected_components(in, Algorithm::kBFS);

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.n),
               static_cast<unsigned long long>(g.edges.size()));
 
-  const auto in = graph::ArcsInput::from_edges(g);
+  const graph::ArcsInput in(g);
   auto r = connected_components(in, Algorithm::kFasterCC);
   auto sizes = graph::component_sizes(r.labels());
   std::printf("\ncomponents: %llu; largest:",

@@ -33,8 +33,7 @@ class ComponentIndex {
 
   /// Builds from any labeling (equal label iff same component):
   /// canonicalizes to min-id form, then counts components and per-component
-  /// sizes in one parallel pass. Deterministic for every thread count and
-  /// backend.
+  /// sizes in one parallel pass. Deterministic for every thread count.
   static ComponentIndex from_labels(std::vector<graph::VertexId> labels);
 
   /// Builds from labels already in canonical min-id form (what the

@@ -124,12 +124,13 @@ class BasicArcsInput {
   BasicArcsInput() = default;
 
   /// Implicit view of an edge list, so every entry point taking an
-  /// ArcsInput also accepts an EdgeList. Same non-owning semantics as
-  /// from_edges(el): `el` must outlive the input (see the ownership rule).
+  /// ArcsInput also accepts an EdgeList: `el` must outlive the input (see
+  /// the ownership rule).
   BasicArcsInput(const BasicEdgeList<V>& el)
       : n_(el.n), edges_(el.edges) {}
 
-  static BasicArcsInput from_edges(const BasicEdgeList<V>& el) { return el; }
+  /// View of `n` vertices and an edge span owned elsewhere (same ownership
+  /// rule).
   static BasicArcsInput from_edges(std::uint64_t n,
                                    std::span<const BasicEdge<V>> edges) {
     BasicArcsInput in;

@@ -560,7 +560,7 @@ bool load_dataset_zero_copy(const std::string& spec, DatasetHandle& out,
       return false;
     }
     out.el_ = make_family(family, n, seed);
-    out.input_ = ArcsInput::from_edges(out.el_);
+    out.input_ = ArcsInput(out.el_);
     info.source = "generator";
   } else if (sniff_binary_csr(spec)) {
     if (!out.bg_.open(spec, error, populate)) return false;
@@ -593,7 +593,7 @@ bool load_dataset_zero_copy(const std::string& spec, DatasetHandle& out,
                     "' as a text edge list (and it is not LOGCCSR1/LOGCCSR2)");
       return false;
     }
-    out.input_ = ArcsInput::from_edges(out.el_);
+    out.input_ = ArcsInput(out.el_);
     info.name = basename_of(spec);
     info.source = "text";
   }

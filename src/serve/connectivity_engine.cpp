@@ -182,7 +182,7 @@ std::uint64_t ConnectivityEngine::merge_batch(std::span<const Edge> batch) {
     // Hook: the larger of the two current roots adopts the smaller.
     // Offers read `p` (stable this round) and min-combine into `next`
     // via atomic_min — order-invariant, hence bit-identical labels and
-    // round counts for every thread count and backend. Only root entries
+    // round counts for every thread count. Only root entries
     // receive offers, and every offered value is smaller than the target
     // root's id, so pointers strictly decrease: no cycles, and the
     // component minimum keeps parent_[m] == m — labels stay canonical.

@@ -8,7 +8,7 @@
 // specialized to an always-flat forest), running on the repo's scan
 // primitives and thread-pool runtime — deterministic per the bit-identity
 // contract: for a given batch sequence the labels, rounds, and published
-// snapshots are identical for every thread count and backend.
+// snapshots are identical for every thread count.
 //
 // Queries never see the merge: after every batch the engine builds an
 // immutable core::ComponentIndex snapshot and swaps it in atomically

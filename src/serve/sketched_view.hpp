@@ -11,7 +11,7 @@
 //
 // Like the index it summarizes, a view is an immutable snapshot: build()
 // runs once per epoch (order-invariant parallel sketch fills — the result
-// is bit-identical for every thread count and backend) and the engine
+// is bit-identical for every thread count) and the engine
 // swaps it behind an EpochPtr together with the exact snapshot it holds a
 // reference to, so an approximate answer is always consistent with ONE
 // epoch's labels, never a mix.

@@ -16,8 +16,8 @@
 //                   invariant, merge exactly (cell-wise +: merged sketch
 //                   == one sketch fed both streams), and bulk-insert in
 //                   parallel via atomic fetch-add (add_parallel) with
-//                   bit-identical counters at every thread count and
-//                   backend. The mode every parallel path uses.
+//                   bit-identical counters at every thread count. The
+//                   mode every parallel path uses.
 //
 //   kConservative — only cells at the current row minimum advance
 //                   (conservative update): strictly tighter estimates,
@@ -68,7 +68,7 @@ class CountMinSketch {
   void add(std::uint64_t key, std::uint64_t count = 1);
 
   /// Bulk count-1 insertion via atomic fetch-add — order-invariant, hence
-  /// bit-identical to the serial loop at every thread count and backend.
+  /// bit-identical to the serial loop at every thread count.
   /// Standard mode only (LOGCC_CHECK): conservative updates are stateful
   /// and have no order-invariant parallel form. Accepts any integral key
   /// width (graph::VertexId spans widen to the same 64-bit keys).

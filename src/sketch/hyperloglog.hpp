@@ -14,7 +14,7 @@
 // counter-based mix64 of a caller-chosen seed — no global RNG, no
 // per-process salt. Two sketches with the same (precision, seed) fed the
 // same item *set* hold bit-identical registers regardless of insertion
-// order, duplication, threading, or backend: add() is a pure register max,
+// order, duplication, or threading: add() is a pure register max,
 // so add_parallel realises bulk insertion with util::atomic_max and is
 // bit-identical to the serial loop at every thread count.
 //
@@ -61,7 +61,7 @@ class HyperLogLog {
   }
 
   /// Bulk insertion via atomic register max — order-invariant, hence
-  /// bit-identical to the serial loop for every thread count and backend.
+  /// bit-identical to the serial loop for every thread count.
   /// Accepts any integral key width (graph::VertexId spans widen to the
   /// same 64-bit keys add() would hash).
   template <typename T>

@@ -27,7 +27,7 @@
 // mix64, so a (stream, options) pair fully determines every sketch bit.
 // finish() uses only order-invariant parallel steps (shortcut flatten,
 // atomic-max/add bulk sketch fills), so its results are also bit-identical
-// for every thread count and backend — pinned by tests/test_sketch.cpp.
+// for every thread count — pinned by tests/test_sketch.cpp.
 #pragma once
 
 #include <cstdint>

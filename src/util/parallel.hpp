@@ -1,33 +1,20 @@
-// Data-parallel loop primitive over interchangeable backends.
+// Data-parallel loop primitive over the persistent worker pool.
 //
-// One PRAM step over k processors maps to `parallel_for(0, k, fn)`. The
-// dispatch goes through one of three backends of the same executor API:
+// One PRAM step over k processors maps to `parallel_for(0, k, fn)`. Every
+// step dispatches through util::ThreadPool (util/thread_pool.hpp): no
+// per-dispatch thread creation, chunked work distribution with a
+// calibrated grain, adaptive spin before parking. Ranges below the grain
+// and any run at a width of 1 execute inline on the calling thread. The
+// pool synchronizes with plain std::thread/std::mutex/atomic edges, so the
+// TSan CI job race-checks exactly the library's own kernels.
 //
-//   kPool   — the persistent parking worker pool (util/thread_pool.hpp).
-//             The default: no per-dispatch thread creation or fork/join,
-//             chunked work distribution with a calibrated grain, adaptive
-//             spin before parking. Fully instrumented under TSan (plain
-//             std::thread/std::mutex synchronization).
-//   kOpenMP — `#pragma omp parallel for` over the same chunks, when built
-//             with LOGCC_HAVE_OPENMP. Kept for comparison benches and as an
-//             escape hatch; selecting it without OpenMP support falls back
-//             to the pool.
-//   kSerial — inline serial loop (also what sub-grain ranges always get).
-//
-// Selection: LOGCC_BACKEND=pool|omp|serial in the environment, or
-// set_parallel_backend() from code. Under ThreadSanitizer the default is
-// forced to the pool — GCC's libgomp is not TSan-instrumented, so OpenMP
-// barriers would produce false races; the pool's pthread edges are fully
-// modeled, which makes the TSan CI job race-check exactly this library's
-// kernels.
-//
-// The backend choice NEVER affects results. Algorithms never depend on the
+// The dispatch NEVER affects results. Algorithms never depend on the
 // execution order or placement inside a step: all cross-processor
 // communication goes through buffered writes resolved between steps (see
 // pram/machine.hpp) or through commutative atomics-free patterns
 // (idempotent writes / fetch-min resolution), and the blocked primitives in
 // scan.hpp fix their block structure as a function of input size alone.
-// Every invariance suite runs bit-identically under all three backends.
+// Every invariance suite runs bit-identically at every thread count.
 #pragma once
 
 #include <cstddef>
@@ -35,45 +22,29 @@
 
 namespace logcc::util {
 
-enum class ParallelBackend {
-  kSerial,
-  kOpenMP,
-  kPool,
-};
-
-/// The active backend (resolved: kOpenMP is only ever reported when the
-/// build has OpenMP support).
-ParallelBackend parallel_backend();
-
-/// Switches the dispatch backend. kOpenMP without OpenMP support selects
-/// the pool instead. Benches and tests use this to compare backends; the
-/// LOGCC_BACKEND environment variable sets the process default.
-void set_parallel_backend(ParallelBackend backend);
-
-/// "pool" | "omp" | "serial" — for bench.json provenance records.
+/// Always "pool" — for bench.json provenance records (`runtime.backend`).
 const char* parallel_backend_name();
 
-/// Number of worker threads parallel_for may use under the active backend
-/// (1 for kSerial).
+/// Number of lanes parallel_for may use (the calling thread included).
 int hardware_parallelism();
 
-/// Caps the number of worker threads (no-op for kSerial). Benches and the
-/// thread-invariance tests use this to pin the thread count from code; the
-/// initial value honours OMP_NUM_THREADS for every backend.
+/// Sets the lane count. Benches and the thread-invariance tests use this
+/// to pin the thread count from code; the initial value honours
+/// OMP_NUM_THREADS (default: the host's hardware threads).
 void set_parallelism(int threads);
 
 /// Grain below which parallel_for always runs serially.
 inline constexpr std::size_t kSerialGrain = 4096;
 
 /// Minimum indices per chunk handed to a lane in one claim. Calibrated
-/// once, lazily, from the measured dispatch latency (LOGCC_GRAIN overrides;
-/// see parallel.cpp). Affects scheduling only, never results.
+/// once, lazily, from the measured dispatch latency (see parallel.cpp).
+/// Affects scheduling only, never results.
 std::size_t parallel_grain();
 void set_parallel_grain(std::size_t grain);
 
 namespace detail {
-/// Dispatches chunk(ctx, lo, hi) covering [begin, end) on the active
-/// backend; chunks hold at least `grain` indices.
+/// Dispatches chunk(ctx, lo, hi) covering [begin, end) on the pool;
+/// chunks hold at least `grain` indices.
 void parallel_run_impl(std::size_t begin, std::size_t end, std::size_t grain,
                        void* ctx,
                        void (*chunk)(void*, std::size_t, std::size_t));

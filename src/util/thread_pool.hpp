@@ -2,13 +2,13 @@
 // parallel_for / parallel_for_blocks (see parallel.hpp).
 //
 // Motivation: the paper's algorithms are round-based — O(log d) rounds of a
-// handful of data-parallel steps each. A backend that creates (or even just
-// fork/joins) threads per step pays its dispatch cost hundreds of times per
-// run, which dominates small-to-medium rounds. This pool starts its workers
-// once (lazily, on the first parallel dispatch), parks them on a condition
-// variable between steps with a short adaptive spin, and hands out work in
-// contiguous chunks, so a steady-state dispatch is one atomic epoch bump
-// plus (usually) zero syscalls.
+// handful of data-parallel steps each. A runtime that creates (or even just
+// forks and joins) threads per step pays its dispatch cost hundreds of times
+// per run, which dominates small-to-medium rounds. This pool starts its
+// workers once (lazily, on the first parallel dispatch), parks them on a
+// condition variable between steps with a short adaptive spin, and hands
+// out work in contiguous chunks, so a steady-state dispatch is one atomic
+// epoch bump plus (usually) zero syscalls.
 //
 // Work distribution: the index range is cut into chunks of at least `grain`
 // elements. Each lane (worker or the calling thread) owns a contiguous

@@ -11,22 +11,21 @@ namespace {
 
 TEST(Api, DefaultAlgorithmIsFasterCc) {
   auto el = graph::make_gnm(100, 300, 1);
-  auto r = connected_components(graph::ArcsInput::from_edges(el));
+  auto r = connected_components(el);
   EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels()));
   EXPECT_GT(r.stats.rounds + r.stats.phases, 0u);
 }
 
 TEST(Api, LabelsAreCanonicalMinIds) {
   auto el = graph::disjoint_union({graph::make_path(5), graph::make_path(4)});
-  auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                Algorithm::kFasterCC);
+  auto r = connected_components(el, Algorithm::kFasterCC);
   for (std::uint64_t v = 0; v < 5; ++v) EXPECT_EQ(r.labels()[v], 0u);
   for (std::uint64_t v = 5; v < 9; ++v) EXPECT_EQ(r.labels()[v], 5u);
 }
 
 TEST(Api, NumComponentsReported) {
   auto el = graph::make_path_forest(7, 5);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   for (auto alg : all_algorithms()) {
     auto r = connected_components(in, alg);
     EXPECT_EQ(r.num_components(), 7u) << to_string(alg);
@@ -37,7 +36,7 @@ TEST(Api, ResultIndexAnswersPointQueries) {
   // ComponentsResult carries a full ComponentIndex snapshot: sizes and
   // point queries agree with the labeling for every entry point.
   auto el = graph::disjoint_union({graph::make_path(5), graph::make_path(4)});
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   for (auto alg : all_algorithms()) {
     auto r = connected_components(in, alg);
     const core::ComponentIndex& ix = r.index;
@@ -57,8 +56,7 @@ TEST(Api, ResultIndexAnswersPointQueries) {
 
 TEST(Api, SecondsMeasured) {
   auto el = graph::make_gnm(500, 2000, 3);
-  auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                Algorithm::kTheorem1);
+  auto r = connected_components(el, Algorithm::kTheorem1);
   EXPECT_GT(r.seconds, 0.0);
 }
 
@@ -73,7 +71,7 @@ TEST(ApiDeath, UnknownAlgorithmNameAborts) {
 
 TEST(Api, SpanningForestBothAlgorithms) {
   auto el = graph::make_gnm(150, 450, 5);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   for (auto alg : {SfAlgorithm::kTheorem2, SfAlgorithm::kVanillaSF}) {
     auto r = spanning_forest(in, alg);
     auto check = graph::validate_spanning_forest(el, r.forest_edges);
@@ -83,7 +81,7 @@ TEST(Api, SpanningForestBothAlgorithms) {
 
 TEST(Api, OptionsSeedThreadsThrough) {
   auto el = graph::make_gnm(100, 250, 9);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   Options a, b;
   a.seed = 1;
   b.seed = 2;
@@ -112,7 +110,7 @@ TEST(Api, StatsAbsorbMergesSubRuns) {
 
 TEST(Api, VerifyComponentsAcceptsTrueLabels) {
   auto el = graph::make_gnm(150, 300, 5);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   for (auto alg : all_algorithms()) {
     auto r = connected_components(in, alg);
     EXPECT_TRUE(verify_components(in, r.index)) << to_string(alg);
@@ -124,7 +122,7 @@ TEST(Api, VerifyComponentsRejectsWrongSizes) {
   // Same partition, doctored sizes: only the index-level certificate can
   // see this — the label-vector form canonicalizes and recounts.
   auto el = graph::make_path(6);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   auto good = core::ComponentIndex::from_labels(
       std::vector<graph::VertexId>(6, 0));
   EXPECT_TRUE(verify_components(in, good));
@@ -152,7 +150,7 @@ TEST(Api, VerifyComponentsRejectsSizeMismatch) {
 TEST(Api, QuickstartSnippetWorks) {
   // The exact shape shown in the README / connectivity.hpp header comment.
   auto g = graph::make_gnm(10'000, 40'000, 42);
-  auto r = connected_components(graph::ArcsInput::from_edges(g));
+  auto r = connected_components(g);
   EXPECT_EQ(r.labels().size(), g.n);
   EXPECT_GE(r.num_components(), 1u);
 }

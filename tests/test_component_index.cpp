@@ -73,7 +73,7 @@ TEST(ComponentIndexDeath, FromCanonicalRejectsNonCanonicalLabels) {
 
 TEST(ComponentIndex, InvariantsAcrossZooAndAllAlgorithms) {
   for (const auto& [name, el] : logcc::testing::small_zoo()) {
-    const auto in = graph::ArcsInput::from_edges(el);
+    const graph::ArcsInput in(el);
     for (auto alg : all_algorithms()) {
       auto r = connected_components(in, alg);
       SCOPED_TRACE(name + std::string(" alg=") + to_string(alg));

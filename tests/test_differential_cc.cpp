@@ -205,9 +205,8 @@ TEST_F(DifferentialCc, WidePathIsBitIdenticalToNarrowPathAcrossCorpus) {
     graph::EdgeList64 wide_el;
     wide_el.n = c.el.n;
     for (const graph::Edge& e : c.el.edges) wide_el.add(e.u, e.v);
-    const graph::ArcsInput64 wide_in =
-        graph::ArcsInput64::from_edges(wide_el);
-    const graph::ArcsInput narrow_in = graph::ArcsInput::from_edges(c.el);
+    const graph::ArcsInput64 wide_in(wide_el);
+    const graph::ArcsInput narrow_in(c.el);
     const std::uint64_t seed = 1 + util::mix64(0x51DE, i, 0) % 97;
 
     // Vanilla: identical coins and MARK-EDGE tie-breaks at both widths.
@@ -261,8 +260,7 @@ TEST_F(DifferentialCc, WideCsrPathMatchesWideEdgePathBitForBit) {
     const graph::CsrView64 view = csr_view(g);
     const graph::ArcsInput64 csr_in = graph::ArcsInput64::from_csr(view);
     const graph::EdgeList64 canon = graph::edge_list_from_csr(view);
-    const graph::ArcsInput64 canon_in =
-        graph::ArcsInput64::from_edges(canon);
+    const graph::ArcsInput64 canon_in(canon);
     const std::uint64_t seed = 42 + i;
     const auto a = core::vanilla_cc(csr_in, seed);
     const auto b = core::vanilla_cc(canon_in, seed);

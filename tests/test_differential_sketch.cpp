@@ -79,8 +79,7 @@ TEST(DifferentialSketch, StreamingTierAgreesWithExactTierOnCorpus) {
   ASSERT_GE(cases.size(), 200u);
   for (const Case& c : cases) {
     // Exact tier.
-    auto r = connected_components(graph::ArcsInput::from_edges(c.el),
-                                  Algorithm::kFasterCC, {});
+    auto r = connected_components(c.el, Algorithm::kFasterCC, {});
     auto index = std::make_shared<const core::ComponentIndex>(
         core::ComponentIndex::from_canonical_labels(r.labels()));
 

@@ -4,7 +4,7 @@
 // every loaded snapshot must be internally consistent (immutable once
 // published), epochs must be monotonic, and dropped snapshots must be
 // freed exactly once (shared_ptr accounting). The TSan CI job runs this
-// suite with the pool backend to race-check the load/store pair.
+// suite to race-check the load/store pair.
 #include "util/epoch.hpp"
 
 #include <gtest/gtest.h>

@@ -83,13 +83,13 @@ TEST(FailureInjection, SingleVertexAndEmptyGraphs) {
   for (auto alg : all_algorithms()) {
     graph::EdgeList empty;
     empty.n = 0;
-    auto r0 = connected_components(graph::ArcsInput::from_edges(empty), alg);
+    auto r0 = connected_components(empty, alg);
     EXPECT_TRUE(r0.labels().empty()) << to_string(alg);
     EXPECT_EQ(r0.num_components(), 0u) << to_string(alg);
 
     graph::EdgeList one;
     one.n = 1;
-    auto r1 = connected_components(graph::ArcsInput::from_edges(one), alg);
+    auto r1 = connected_components(one, alg);
     ASSERT_EQ(r1.labels().size(), 1u) << to_string(alg);
     EXPECT_EQ(r1.num_components(), 1u) << to_string(alg);
   }
@@ -99,7 +99,7 @@ TEST(FailureInjection, AllSelfLoops) {
   graph::EdgeList el;
   el.n = 8;
   for (graph::VertexId v = 0; v < 8; ++v) el.add(v, v);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   for (auto alg : all_algorithms()) {
     auto r = connected_components(in, alg);
     EXPECT_EQ(r.num_components(), 8u) << to_string(alg);
@@ -113,7 +113,7 @@ TEST(FailureInjection, HeavyParallelEdges) {
     el.add(0, 1);
     el.add(2, 3);
   }
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   for (auto alg : all_algorithms()) {
     auto r = connected_components(in, alg);
     EXPECT_EQ(r.num_components(), 2u) << to_string(alg);

@@ -26,7 +26,7 @@ TEST_P(CcProperty, MatchesOracle) {
   graph::EdgeList el = graph::make_family(family, n, seed);
   Options opt;
   opt.seed = seed * 7919 + 13;
-  auto r = connected_components(graph::ArcsInput::from_edges(el), algorithm,
+  auto r = connected_components(el, algorithm,
                                 opt);
   EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels()))
       << family << " n=" << n << " seed=" << seed << " alg="
@@ -64,8 +64,7 @@ TEST_P(CcPaperPolicy, MatchesOracle) {
   graph::EdgeList el = graph::make_family(GetParam(), 128, 5);
   Options opt;
   opt.policy = core::ParamPolicy::Kind::kPaper;
-  auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                Algorithm::kFasterCC, opt);
+  auto r = connected_components(el, Algorithm::kFasterCC, opt);
   EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels())) << GetParam();
 }
 
@@ -81,7 +80,7 @@ class CcSeedIndependence
 TEST_P(CcSeedIndependence, PartitionStableAcrossSeeds) {
   const auto& [family, algorithm] = GetParam();
   graph::EdgeList el = graph::make_family(family, 200, 4);
-  const auto in = graph::ArcsInput::from_edges(el);
+  const graph::ArcsInput in(el);
   Options opt;
   opt.seed = 1;
   auto ref = connected_components(in, algorithm, opt);

@@ -42,7 +42,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace logcc::core {
 namespace {
 
-using logcc::testing::BackendInvariance;
+using logcc::testing::ThreadInvariance;
 
 TEST(MonotonicArena, BumpAllocAndReset) {
   util::MonotonicArena arena(/*first_block_bytes=*/1024);
@@ -132,15 +132,14 @@ TEST(RoundArena, ScopeInstallsOutermostWins) {
 // phases are free. The graph is large enough (arcs >= 4*kSerialGrain) that
 // every parallel path engages: blocked vote/mark/link, arena-staged pack,
 // bucketed dedup, fused shortcut.
-TEST_F(BackendInvariance, VanillaSteadyStatePhasesAllocateNothing) {
-  util::set_parallel_backend(util::ParallelBackend::kPool);
+TEST_F(ThreadInvariance, VanillaSteadyStatePhasesAllocateNothing) {
   util::set_parallelism(4);
   const auto el = graph::make_path(40000);
 
   auto run_phases_counting = [&](std::uint64_t max_phases,
                                  RunStats& stats) -> std::uint64_t {
     // Everything inside the window is identical across calls up to
-    // max_phases — same graph, same seed, same backend, pool already warm.
+    // max_phases — same graph, same seed, same width, pool already warm.
     const std::uint64_t before = g_new_calls.load();
     RoundArena arena;
     RoundArena::Scope scope(arena);
@@ -184,8 +183,7 @@ TEST_F(BackendInvariance, VanillaSteadyStatePhasesAllocateNothing) {
 // memory — once warm, a full engine run performs a *stable* number of
 // allocations (the engine's own member vectors), and the slab itself never
 // allocates again: same-shape resets are epoch bumps.
-TEST_F(BackendInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
-  util::set_parallel_backend(util::ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
   util::set_parallelism(4);
   const std::uint64_t n = 1 << 14;
   auto el = graph::make_gnm(n, 3 * n, 9);
@@ -228,8 +226,7 @@ TEST_F(BackendInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
 
 // Same property through the public driver (arena installed by
 // connected_components): repeated runs on a warm process stay flat.
-TEST_F(BackendInvariance, ArenaReuseAcrossKernelsIsStable) {
-  util::set_parallel_backend(util::ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ArenaReuseAcrossKernelsIsStable) {
   util::set_parallelism(2);
   RoundArena arena;
   RoundArena::Scope scope(arena);

@@ -1,10 +1,10 @@
 // Property suite for the approximate tier (src/sketch/): the sketch
 // algebra (merge commutativity/associativity/idempotence, insert-order
 // invariance, serialization round trips) and the determinism contract
-// (add_parallel bit-identical to the serial loop across backends and
-// thread counts). The statistical guarantees — error bounds over seed
-// sweeps — live in tests/test_sketch_accuracy.cpp; the corpus-wide
-// sketch-vs-exact cross-checks in tests/test_differential_sketch.cpp.
+// (add_parallel bit-identical to the serial loop at every thread count).
+// The statistical guarantees — error bounds over seed sweeps — live in
+// tests/test_sketch_accuracy.cpp; the corpus-wide sketch-vs-exact
+// cross-checks in tests/test_differential_sketch.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,7 @@
 namespace {
 
 using namespace logcc;
-using logcc::testing::BackendInvariance;
+using logcc::testing::ThreadInvariance;
 using sketch::CmsUpdate;
 using sketch::CountMinSketch;
 using sketch::HyperLogLog;
@@ -234,102 +234,72 @@ TEST(CountMin, SerializeRoundTripIsBitIdentical) {
 
 // ------------------------------------------- parallel determinism sweep ---
 
-class SketchBackendInvariance : public BackendInvariance {};
-
-TEST_F(SketchBackendInvariance, HllAddParallelMatchesSerialEverywhere) {
+TEST_F(ThreadInvariance, HllAddParallelMatchesSerialEverywhere) {
   const auto keys = make_keys(20000, 71);
   const auto reference = hll_of(keys, 12, 5);
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
-    util::set_parallel_backend(backend);
-    for (int threads : {1, 2, 4, 8}) {
-      util::set_parallelism(threads);
-      HyperLogLog h(12, 5);
-      h.add_parallel(std::span<const std::uint64_t>(keys));
-      EXPECT_EQ(h, reference)
-          << "backend=" << util::parallel_backend_name()
-          << " threads=" << threads;
-    }
+  for (int threads : {1, 2, 4, 8}) {
+    util::set_parallelism(threads);
+    HyperLogLog h(12, 5);
+    h.add_parallel(std::span<const std::uint64_t>(keys));
+    EXPECT_EQ(h, reference) << "threads=" << threads;
   }
 }
 
-TEST_F(SketchBackendInvariance, CmsAddParallelMatchesSerialEverywhere) {
+TEST_F(ThreadInvariance, CmsAddParallelMatchesSerialEverywhere) {
   const auto keys = make_keys(20000, 81);
   const auto reference = cms_of(keys, CmsUpdate::kStandard, 5);
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
-    util::set_parallel_backend(backend);
-    for (int threads : {1, 2, 4, 8}) {
-      util::set_parallelism(threads);
-      CountMinSketch c(4, 256, 5);
-      c.add_parallel(std::span<const std::uint64_t>(keys));
-      EXPECT_EQ(c, reference)
-          << "backend=" << util::parallel_backend_name()
-          << " threads=" << threads;
-    }
+  for (int threads : {1, 2, 4, 8}) {
+    util::set_parallelism(threads);
+    CountMinSketch c(4, 256, 5);
+    c.add_parallel(std::span<const std::uint64_t>(keys));
+    EXPECT_EQ(c, reference) << "threads=" << threads;
   }
 }
 
-TEST_F(SketchBackendInvariance, SketchedViewBuildIsBitIdentical) {
-  // One multi-component label array, sketched under every backend and
-  // thread count: registers and counters must never differ.
+TEST_F(ThreadInvariance, SketchedViewBuildIsBitIdentical) {
+  // One multi-component label array, sketched at every thread count:
+  // registers and counters must never differ from the one-lane build.
   const auto el = graph::make_gnm(4096, 2048, 3);
-  auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                Algorithm::kFasterCC, {});
+  auto r = connected_components(el, Algorithm::kFasterCC, {});
   auto index = std::make_shared<const core::ComponentIndex>(
       core::ComponentIndex::from_canonical_labels(r.labels()));
 
+  util::set_parallelism(1);
   const auto reference = serve::SketchedView::build(index);
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
-    util::set_parallel_backend(backend);
-    for (int threads : {1, 2, 4, 8}) {
-      util::set_parallelism(threads);
-      const auto view = serve::SketchedView::build(index);
-      EXPECT_EQ(view.count_hll(), reference.count_hll())
-          << "backend=" << util::parallel_backend_name()
-          << " threads=" << threads;
-      EXPECT_EQ(view.size_cms(), reference.size_cms())
-          << "backend=" << util::parallel_backend_name()
-          << " threads=" << threads;
-    }
+  for (int threads : {2, 4, 8}) {
+    util::set_parallelism(threads);
+    const auto view = serve::SketchedView::build(index);
+    EXPECT_EQ(view.count_hll(), reference.count_hll()) << "threads=" << threads;
+    EXPECT_EQ(view.size_cms(), reference.size_cms()) << "threads=" << threads;
   }
 }
 
-TEST_F(SketchBackendInvariance, StreamStatsFinishIsBitIdentical) {
+TEST_F(ThreadInvariance, StreamStatsFinishIsBitIdentical) {
   // The stream is consumed sequentially by contract; finish() is the
   // parallel part (flatten + bulk sketch fills) and must be bit-identical
-  // for every backend and thread count.
+  // at every thread count.
   const auto el = graph::make_rmat(9, 2048, 13);
   auto run = [&] {
     sketch::StreamStats stats(el.n);
     for (const auto& e : el.edges) stats.add_edge(e.u, e.v);
     return stats;
   };
+  util::set_parallelism(1);
   auto ref_stats = run();
   const auto ref_summary = ref_stats.finish();
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
-    util::set_parallel_backend(backend);
-    for (int threads : {1, 2, 4, 8}) {
-      util::set_parallelism(threads);
-      auto stats = run();
-      const auto summary = stats.finish();
-      EXPECT_EQ(stats.labels(), ref_stats.labels());
-      EXPECT_EQ(stats.component_hll(), ref_stats.component_hll());
-      EXPECT_EQ(stats.size_cms(), ref_stats.size_cms());
-      EXPECT_EQ(summary.exact_components, ref_summary.exact_components);
-      EXPECT_EQ(summary.approx_components, ref_summary.approx_components);
-      ASSERT_EQ(summary.heavy.size(), ref_summary.heavy.size());
-      for (std::size_t i = 0; i < summary.heavy.size(); ++i) {
-        EXPECT_EQ(summary.heavy[i].root, ref_summary.heavy[i].root);
-        EXPECT_EQ(summary.heavy[i].exact_size,
-                  ref_summary.heavy[i].exact_size);
-      }
+  for (int threads : {2, 4, 8}) {
+    util::set_parallelism(threads);
+    auto stats = run();
+    const auto summary = stats.finish();
+    EXPECT_EQ(stats.labels(), ref_stats.labels());
+    EXPECT_EQ(stats.component_hll(), ref_stats.component_hll());
+    EXPECT_EQ(stats.size_cms(), ref_stats.size_cms());
+    EXPECT_EQ(summary.exact_components, ref_summary.exact_components);
+    EXPECT_EQ(summary.approx_components, ref_summary.approx_components);
+    ASSERT_EQ(summary.heavy.size(), ref_summary.heavy.size());
+    for (std::size_t i = 0; i < summary.heavy.size(); ++i) {
+      EXPECT_EQ(summary.heavy[i].root, ref_summary.heavy[i].root);
+      EXPECT_EQ(summary.heavy[i].exact_size, ref_summary.heavy[i].exact_size);
     }
   }
 }
@@ -343,8 +313,7 @@ TEST(StreamStats, ExactConnectivityOnZoo) {
     const auto summary = stats.finish();
     EXPECT_TRUE(logcc::testing::matches_oracle(el, stats.labels())) << name;
     // Labels are canonical min-id, so they match the batch path bitwise.
-    auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                  Algorithm::kFasterCC, {});
+    auto r = connected_components(el, Algorithm::kFasterCC, {});
     EXPECT_EQ(stats.labels(), r.labels()) << name;
     EXPECT_EQ(summary.exact_components, r.num_components()) << name;
     EXPECT_EQ(summary.edges, el.edges.size()) << name;

@@ -192,8 +192,7 @@ TEST(SketchAccuracy, ComponentCountEstimateOnMultiComponentFamilies) {
       {"sparse-gnm", graph::make_gnm(20000, 6000, 3)},
   };
   for (const auto& family : families) {
-    auto r = connected_components(graph::ArcsInput::from_edges(family.el),
-                                  Algorithm::kFasterCC, {});
+    auto r = connected_components(family.el, Algorithm::kFasterCC, {});
     const auto exact = static_cast<double>(r.num_components());
     const std::vector<graph::VertexId> labels = r.labels();
     const int precision = 12;

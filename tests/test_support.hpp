@@ -27,24 +27,6 @@ class ThreadInvariance : public ::testing::Test {
   int original_threads_ = 1;
 };
 
-/// ThreadInvariance plus backend save/restore: tests that pin a specific
-/// dispatch backend (pool/omp/serial) sweep freely and leave the process
-/// default untouched for later suites.
-class BackendInvariance : public ThreadInvariance {
- protected:
-  void SetUp() override {
-    ThreadInvariance::SetUp();
-    original_backend_ = util::parallel_backend();
-  }
-  void TearDown() override {
-    util::set_parallel_backend(original_backend_);
-    ThreadInvariance::TearDown();
-  }
-
- private:
-  util::ParallelBackend original_backend_ = util::ParallelBackend::kPool;
-};
-
 /// Oracle labels (min id per component) for an edge list.
 inline std::vector<graph::VertexId> oracle_labels(const graph::EdgeList& el) {
   return graph::bfs_components(graph::Graph::from_edges(el));

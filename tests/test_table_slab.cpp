@@ -11,8 +11,7 @@
 //      is the "collision semantics preserved" guarantee the determinism
 //      contract rests on;
 //   3. thread-invariance sweeps for the parallel in-bucket radix dedup
-//      (core dedup_arcs and the LT ALTER path) at 1/2/4/8 lanes across the
-//      pool / OpenMP / serial backends.
+//      (core dedup_arcs and the LT ALTER path) at 1/2/4/8 lanes.
 #include "core/table_slab.hpp"
 
 #include <gtest/gtest.h>
@@ -33,7 +32,7 @@
 namespace logcc::core {
 namespace {
 
-using logcc::testing::BackendInvariance;
+using logcc::testing::ThreadInvariance;
 using Insert = VertexTable::Insert;
 
 // ---- 1. Ported VertexTable unit cases (single-table slab).
@@ -237,7 +236,7 @@ TEST(VertexTableEpochReset, SameCapacityResetEmptiesLogically) {
 //
 // dedup_arcs (core bucketed path) and the LT-family ALTER dedup both pick
 // comparison vs radix per bucket by size alone; the sweeps assert the
-// output is byte-identical at 1/2/4/8 lanes across every backend.
+// output is byte-identical at 1/2/4/8 lanes.
 
 std::vector<Arc> make_dup_heavy_arcs(std::uint64_t n, std::uint64_t seed) {
   // 6n arcs over n vertices with forced duplicates and varied orig ids —
@@ -251,59 +250,42 @@ std::vector<Arc> make_dup_heavy_arcs(std::uint64_t n, std::uint64_t seed) {
   return arcs;
 }
 
-TEST_F(BackendInvariance, DedupRadixThreadInvariantAcrossBackends) {
+TEST_F(ThreadInvariance, DedupRadixThreadInvariant) {
   const auto base = make_dup_heavy_arcs(1 << 15, 11);
   auto reference = base;
-  {
-    util::set_parallel_backend(util::ParallelBackend::kSerial);
-    dedup_arcs(reference);
-  }
+  util::set_parallelism(1);
+  dedup_arcs(reference);
   ASSERT_FALSE(reference.empty());
-  for (util::ParallelBackend backend :
-       {util::ParallelBackend::kPool, util::ParallelBackend::kOpenMP,
-        util::ParallelBackend::kSerial}) {
-    util::set_parallel_backend(backend);
-    for (int threads : {1, 2, 4, 8}) {
-      util::set_parallelism(threads);
-      auto arcs = base;
-      dedup_arcs(arcs);
-      ASSERT_EQ(arcs.size(), reference.size())
-          << util::parallel_backend_name() << " @ " << threads;
-      for (std::size_t i = 0; i < arcs.size(); ++i) {
-        ASSERT_EQ(arcs[i].u, reference[i].u)
-            << util::parallel_backend_name() << " @ " << threads << " i=" << i;
-        ASSERT_EQ(arcs[i].v, reference[i].v)
-            << util::parallel_backend_name() << " @ " << threads << " i=" << i;
-        ASSERT_EQ(arcs[i].orig, reference[i].orig)
-            << util::parallel_backend_name() << " @ " << threads << " i=" << i;
-      }
+  for (int threads : {2, 4, 8}) {
+    util::set_parallelism(threads);
+    auto arcs = base;
+    dedup_arcs(arcs);
+    ASSERT_EQ(arcs.size(), reference.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      ASSERT_EQ(arcs[i].u, reference[i].u)
+          << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(arcs[i].v, reference[i].v)
+          << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(arcs[i].orig, reference[i].orig)
+          << "threads=" << threads << " i=" << i;
     }
   }
 }
 
-TEST_F(BackendInvariance, LtAlterDedupThreadInvariantAcrossBackends) {
+TEST_F(ThreadInvariance, LtAlterDedupThreadInvariant) {
   // A graph whose ALTER rounds produce edge lists above the bucketed-dedup
-  // cutoff, so the radix path engages. Labels must be bit-identical for
-  // every (backend, threads) pair.
+  // cutoff, so the radix path engages. Labels must be bit-identical at
+  // every thread count.
   const auto el = graph::make_gnm(1 << 14, 1 << 16, 23);
   const baselines::LtVariant variant{baselines::LtConnect::kExtended,
                                      baselines::LtShortcut::kSingle, true};
-  std::vector<graph::VertexId> reference;
-  for (util::ParallelBackend backend :
-       {util::ParallelBackend::kSerial, util::ParallelBackend::kPool,
-        util::ParallelBackend::kOpenMP}) {
-    util::set_parallel_backend(backend);
-    for (int threads : {1, 2, 4, 8}) {
-      util::set_parallelism(threads);
-      auto result = baselines::liu_tarjan_variant(el, variant);
-      if (reference.empty()) {
-        reference = result.labels;
-        ASSERT_TRUE(logcc::testing::matches_oracle(el, reference));
-      } else {
-        ASSERT_EQ(result.labels, reference)
-            << util::parallel_backend_name() << " @ " << threads;
-      }
-    }
+  util::set_parallelism(1);
+  const auto reference = baselines::liu_tarjan_variant(el, variant).labels;
+  ASSERT_TRUE(logcc::testing::matches_oracle(el, reference));
+  for (int threads : {2, 4, 8}) {
+    util::set_parallelism(threads);
+    ASSERT_EQ(baselines::liu_tarjan_variant(el, variant).labels, reference)
+        << "threads=" << threads;
   }
 }
 

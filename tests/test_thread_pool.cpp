@@ -1,7 +1,7 @@
 // The persistent pool runtime: lifecycle (lazy start, shutdown/restart,
 // resize), dispatch correctness, reentrancy, exception propagation, and the
-// scan-primitive thread-invariance sweep under the pool backend at
-// 1/2/4/8 lanes.
+// scan-primitive thread-invariance sweep at 1/2/4/8 lanes, and the
+// one-lane guarantee that every body runs inline on the calling thread.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/building_blocks.hpp"
@@ -20,10 +21,9 @@
 namespace logcc::util {
 namespace {
 
-using logcc::testing::BackendInvariance;
+using logcc::testing::ThreadInvariance;
 
-TEST_F(BackendInvariance, PoolCoversRangeExactlyOnce) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, PoolCoversRangeExactlyOnce) {
   set_parallelism(4);
   constexpr std::size_t n = 200000;
   std::vector<std::atomic<int>> hits(n);
@@ -31,8 +31,7 @@ TEST_F(BackendInvariance, PoolCoversRangeExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST_F(BackendInvariance, PoolHonoursOffsetRangesAndBlocks) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, PoolHonoursOffsetRangesAndBlocks) {
   set_parallelism(4);
   std::vector<std::atomic<int>> hits(3 * kSerialGrain);
   parallel_for(kSerialGrain, 3 * kSerialGrain,
@@ -45,8 +44,7 @@ TEST_F(BackendInvariance, PoolHonoursOffsetRangesAndBlocks) {
   for (std::size_t b = 0; b < 64; ++b) ASSERT_EQ(blocks[b].load(), 1) << b;
 }
 
-TEST_F(BackendInvariance, ShutdownRestartsLazily) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ShutdownRestartsLazily) {
   set_parallelism(4);
   ThreadPool& pool = ThreadPool::instance();
   std::atomic<std::uint64_t> sum{0};
@@ -65,8 +63,7 @@ TEST_F(BackendInvariance, ShutdownRestartsLazily) {
   EXPECT_GT(pool.starts(), starts_before);
 }
 
-TEST_F(BackendInvariance, ResizeTakesEffect) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ResizeTakesEffect) {
   set_parallelism(2);
   EXPECT_EQ(hardware_parallelism(), 2);
   EXPECT_EQ(ThreadPool::instance().lanes(), 2);
@@ -79,8 +76,7 @@ TEST_F(BackendInvariance, ResizeTakesEffect) {
   EXPECT_EQ(count.load(), static_cast<int>(kSerialGrain * 2));
 }
 
-TEST_F(BackendInvariance, ReentrantDispatchRunsInlineWithoutDeadlock) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ReentrantDispatchRunsInlineWithoutDeadlock) {
   set_parallelism(4);
   // Pin a small grain so the outer loop really fans out over multiple
   // chunks (the calibrated default may exceed the loop size).
@@ -100,8 +96,7 @@ TEST_F(BackendInvariance, ReentrantDispatchRunsInlineWithoutDeadlock) {
   set_parallel_grain(old_grain);
 }
 
-TEST_F(BackendInvariance, ExceptionPropagatesAndPoolStaysUsable) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ExceptionPropagatesAndPoolStaysUsable) {
   set_parallelism(4);
   const std::size_t n = kSerialGrain * 4;
   EXPECT_THROW(
@@ -118,21 +113,41 @@ TEST_F(BackendInvariance, ExceptionPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n - 1) / 2);
 }
 
-TEST_F(BackendInvariance, SerialBackendReportsOneThread) {
-  set_parallel_backend(ParallelBackend::kSerial);
+TEST_F(ThreadInvariance, OneLaneRunsInlineWithoutWorkers) {
+  ThreadPool& pool = ThreadPool::instance();
+  pool.shutdown();
+  set_parallelism(1);
   EXPECT_EQ(hardware_parallelism(), 1);
-  EXPECT_STREQ(parallel_backend_name(), "serial");
-  // Serial dispatch preserves order (observable: no interleaving).
+  EXPECT_STREQ(parallel_backend_name(), "pool");
+  const std::uint64_t starts_before = pool.starts();
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // Plain (non-atomic) pushes: a body on any other thread would race here,
+  // and the thread-id check below names it.
   std::vector<std::size_t> order;
-  parallel_for(0, 2 * kSerialGrain,
-               [&](std::size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 2 * kSerialGrain);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  bool all_on_caller = true;
+  parallel_for(0, 4 * kSerialGrain, [&](std::size_t i) {
+    all_on_caller &= std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(all_on_caller);
+  ASSERT_EQ(order.size(), 4 * kSerialGrain);
+  for (std::size_t i = 0; i < order.size(); ++i) ASSERT_EQ(order[i], i);
+
+  std::vector<std::size_t> blocks;
+  parallel_for_blocks(64, [&](std::size_t b) {
+    all_on_caller &= std::this_thread::get_id() == caller;
+    blocks.push_back(b);
+  });
+  EXPECT_TRUE(all_on_caller);
+  ASSERT_EQ(blocks.size(), 64u);
+  for (std::size_t b = 0; b < blocks.size(); ++b) ASSERT_EQ(blocks[b], b);
+
+  EXPECT_EQ(pool.starts(), starts_before) << "one lane must start no workers";
 }
 
-// ---- Thread-invariance sweep of the scan primitives under the pool
-// backend: 1/2/4/8 lanes must produce bit-identical results (the
-// determinism contract, re-pinned on the new runtime).
+// ---- Thread-invariance sweep of the scan primitives: 1/2/4/8 lanes must
+// produce bit-identical results (the determinism contract).
 
 struct ScanResults {
   std::uint64_t reduce = 0;
@@ -184,26 +199,13 @@ ScanResults run_all_primitives() {
   return r;
 }
 
-TEST_F(BackendInvariance, ScanPrimitivesBitIdenticalAcrossPoolLanes) {
-  set_parallel_backend(ParallelBackend::kPool);
+TEST_F(ThreadInvariance, ScanPrimitivesBitIdenticalAcrossPoolLanes) {
   set_parallelism(1);
   const ScanResults one = run_all_primitives();
   for (int lanes : {2, 4, 8}) {
     set_parallelism(lanes);
     EXPECT_EQ(run_all_primitives(), one) << "lanes=" << lanes;
   }
-}
-
-TEST_F(BackendInvariance, ScanPrimitivesAgreeAcrossBackends) {
-  set_parallelism(4);
-  set_parallel_backend(ParallelBackend::kSerial);
-  const ScanResults serial = run_all_primitives();
-  set_parallel_backend(ParallelBackend::kPool);
-  EXPECT_EQ(run_all_primitives(), serial) << "pool";
-#ifdef LOGCC_HAVE_OPENMP
-  set_parallel_backend(ParallelBackend::kOpenMP);
-  EXPECT_EQ(run_all_primitives(), serial) << "omp";
-#endif
 }
 
 }  // namespace

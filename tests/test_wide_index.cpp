@@ -238,7 +238,7 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
   // Narrow reference: same file's graph, materialized.
   graph::EdgeList el;
   ASSERT_TRUE(graph::load_dataset(path, el, nullptr, &error)) << error;
-  const auto nv = core::vanilla_cc(graph::ArcsInput::from_edges(el), 5);
+  const auto nv = core::vanilla_cc(el, 5);
   ASSERT_EQ(wv.labels.size(), nv.labels.size());
   for (std::size_t v = 0; v < nv.labels.size(); ++v)
     EXPECT_EQ(wv.labels[v], static_cast<graph::VertexId64>(nv.labels[v]));
