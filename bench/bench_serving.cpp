@@ -39,6 +39,7 @@ using namespace logcc;
 
 struct RepOutcome {
   double apply_seconds = 0.0;
+  std::uint64_t relabeled = 0;  // vertices relabeled over the stream
   double p50 = 0.0;
   double p99 = 0.0;
   std::uint64_t queries = 0;
@@ -105,6 +106,7 @@ RepOutcome replay(const graph::EdgeList& el, std::uint64_t batch_edges,
         off, std::min<std::size_t>(batch_edges, all.size() - off));
     const auto res = engine.apply_batch(batch);
     out.apply_seconds += res.seconds;
+    out.relabeled += res.relabeled;
     out.verified = out.verified && res.verified;
   }
   done.store(true, std::memory_order_release);
@@ -191,13 +193,17 @@ int main(int argc, char** argv) {
                       seed + 7919ULL * static_cast<std::uint64_t>(rep),
                       durable_dir, wal);
     all_verified = all_verified && out.verified;
-    std::printf("  rep %d: apply %.3fs (%.0f edges/s)  queries %" PRIu64
+    std::printf("  rep %d: apply %.3fs (%.0f edges/s, %.1fus and %.1f "
+                "relabeled per batch)  queries %" PRIu64
                 " (p50 %.1fus p99 %.1fus)  components %" PRIu64
                 "  epochs %" PRIu64 "%s\n",
                 rep, out.apply_seconds,
                 out.apply_seconds > 0
                     ? static_cast<double>(el.edges.size()) / out.apply_seconds
                     : 0.0,
+                out.apply_seconds * 1e6 / static_cast<double>(batches),
+                static_cast<double>(out.relabeled) /
+                    static_cast<double>(batches),
                 out.queries, out.p50 * 1e6, out.p99 * 1e6, out.components,
                 out.epochs, out.verified ? "" : "  VERIFY-FAIL");
     outcomes.push_back(out);

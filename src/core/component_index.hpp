@@ -4,14 +4,16 @@
 // algorithms behind logcc::connected_components, the incremental
 // serve::ConnectivityEngine, and the bench certificate path — produces (or
 // publishes) exactly this type: canonical min-id labels, per-component
-// sizes, the component count, and an optional parent forest, all computed
-// in one deterministic parallel pass.
+// sizes and the component count, all computed in one deterministic
+// parallel pass.
 //
-// An index is an immutable *snapshot*: once built it is never mutated, so a
-// std::shared_ptr<const ComponentIndex> can be handed to any number of
+// An index is an immutable *snapshot*: once published it is never mutated,
+// so a std::shared_ptr<const ComponentIndex> can be handed to any number of
 // query threads and swapped atomically between epochs (util/epoch.hpp) —
 // readers keep a consistent view for as long as they hold the pointer,
-// regardless of what the producer does next.
+// regardless of what the producer does next. The one writer besides the
+// builders is serve::SnapshotPool, which patches a recycled buffer in place
+// only after its last reader released it.
 //
 // Canonical form: labels[v] is the minimum vertex id in v's component;
 // hence labels[r] == r exactly for component roots, labels[v] <= v
@@ -25,6 +27,10 @@
 
 #include "graph/graph.hpp"
 
+namespace logcc::serve {
+class SnapshotPool;
+}
+
 namespace logcc::core {
 
 class ComponentIndex {
@@ -37,8 +43,8 @@ class ComponentIndex {
   static ComponentIndex from_labels(std::vector<graph::VertexId> labels);
 
   /// Builds from labels already in canonical min-id form (what the
-  /// algorithms' canonical_labels pass and the serve engine's flat forest
-  /// produce), skipping re-canonicalization. Canonicity is LOGCC_CHECKed
+  /// algorithms' canonical_labels pass and a checkpoint's label array
+  /// hold), skipping re-canonicalization. Canonicity is LOGCC_CHECKed
   /// (labels[v] <= v and labels[labels[v]] == labels[v]).
   static ComponentIndex from_canonical_labels(
       std::vector<graph::VertexId> labels);
@@ -62,16 +68,7 @@ class ComponentIndex {
   /// canonical label is r, and 0 at every non-root index.
   const std::vector<std::uint64_t>& sizes() const { return sizes_; }
 
-  /// Optional parent forest (§2.1 labeled-digraph shape): parent pointers
-  /// whose find_root agrees with labels(). Absent unless a producer
-  /// attaches one (the serve engine can, for diagnostics).
-  bool has_forest() const { return !forest_.empty(); }
-  const std::vector<graph::VertexId>& forest() const { return forest_; }
-  /// Attaches a parent forest; LOGCC_CHECKs that its roots match labels().
-  void attach_forest(std::vector<graph::VertexId> forest);
-
   friend bool operator==(const ComponentIndex& a, const ComponentIndex& b) {
-    // The forest is diagnostic metadata, not part of the partition value.
     return a.labels_ == b.labels_ && a.sizes_ == b.sizes_ &&
            a.num_components_ == b.num_components_;
   }
@@ -81,9 +78,12 @@ class ComponentIndex {
   /// and counts roots in one deterministic parallel pass.
   static ComponentIndex finish(std::vector<graph::VertexId> labels);
 
+  // The serving engine's publish path: fills recycled buffers by patching
+  // the entries a batch changed (serve/snapshot_pool.hpp).
+  friend class serve::SnapshotPool;
+
   std::vector<graph::VertexId> labels_;
   std::vector<std::uint64_t> sizes_;
-  std::vector<graph::VertexId> forest_;  // empty == absent
   std::uint64_t num_components_ = 0;
 };
 

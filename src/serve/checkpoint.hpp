@@ -5,10 +5,10 @@
 // A checkpoint is one epoch's canonical min-id label array plus the WAL
 // byte offset it corresponds to: recovery loads the labels, then replays
 // only the WAL records past that offset instead of the whole stream. The
-// sizes array and component count are NOT stored — they are recomputed
-// from the canonical labels by ComponentIndex::from_canonical_labels, the
-// same deterministic pass every publisher runs, so a checkpoint cannot
-// smuggle in an inconsistent (labels, sizes) pair.
+// sizes array and component count are NOT stored — the engine recomputes
+// them (and its member lists) from the canonical labels when it adopts
+// them, so a checkpoint cannot smuggle in an inconsistent (labels, sizes)
+// pair.
 //
 // Atomicity: the state is written to `path + ".tmp"`, fsynced, and renamed
 // into place (then the directory is fsynced). A crash at ANY point leaves

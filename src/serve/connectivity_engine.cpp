@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
-#include "util/parallel.hpp"
 #include "util/scan.hpp"
 #include "util/timer.hpp"
 
@@ -25,22 +25,6 @@ using graph::VertexId;
 using util::Status;
 
 namespace {
-
-/// One synchronous SHORTCUT step with a fused change flag (the lt_family
-/// idiom): next[v] = p[p[v]], true iff anything moved.
-bool shortcut_step(std::vector<VertexId>& p, std::vector<VertexId>& next) {
-  const std::uint64_t n = p.size();
-  const bool moved = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), false,
-      [&](std::size_t v) {
-        const VertexId t = p[p[v]];
-        next[v] = t;
-        return t != p[v];
-      },
-      [](bool a, bool b) { return a || b; });
-  p.swap(next);
-  return moved;
-}
 
 Status make_dir(const std::string& dir) {
 #ifdef LOGCC_ENGINE_POSIX
@@ -59,14 +43,15 @@ std::string ckpt_path(const std::string& dir) { return dir + "/index.ckpt"; }
 }  // namespace
 
 ConnectivityEngine::ConnectivityEngine(std::uint64_t n, EngineOptions options)
-    : options_(options), log_(n), parent_(n), scratch_(n) {
+    : options_(options), log_(n), pool_(n) {
   LOGCC_CHECK_MSG(options_.durability.dir.empty(),
                   "durable engines are built via ConnectivityEngine::recover");
   // The degraded engine serves from the sketch tier, so a memory cap
   // without it would leave nothing fresh to answer from.
   if (options_.max_resident_bytes > 0) options_.sketched_view = true;
-  util::parallel_for(
-      0, n, [&](std::size_t v) { parent_[v] = static_cast<VertexId>(v); });
+  std::vector<VertexId> singletons(n);
+  std::iota(singletons.begin(), singletons.end(), VertexId{0});
+  adopt(std::move(singletons));
   publish();  // epoch 1: n singleton components
 }
 
@@ -88,7 +73,7 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
   shell.durability = DurabilityOptions{};
   auto engine = std::make_unique<ConnectivityEngine>(n, shell);
 
-  // Checkpoint, when one is valid: seeds the forest so only the WAL
+  // Checkpoint, when one is valid: seeds the labels so only the WAL
   // suffix past its offset needs merging. A corrupt checkpoint is NOT
   // fatal — the WAL holds the complete history, so recovery falls back to
   // a full replay and reports why in `info`.
@@ -103,7 +88,7 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
           ", engine wants n=" + std::to_string(n));
     info->used_checkpoint = true;
     info->checkpoint_batches = ckpt.batches;
-    engine->parent_ = std::move(ckpt.labels);
+    engine->adopt(std::move(ckpt.labels));
     replay_from = ckpt.wal_offset;
   } else if (cs.code() != util::StatusCode::kNotFound &&
              cs.code() != util::StatusCode::kCorruption) {
@@ -113,14 +98,14 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
   // Replay: every record re-enters the edge log (the stream's logical
   // position), but only records past the checkpoint offset are merged —
   // the checkpointed labels already reflect the prefix.
-  std::uint64_t replayed = 0;
+  std::uint64_t replayed = 0, relabeled = 0;
   WalScan scan;
   Status rs = wal_replay(
       wal_path(dir),
       [&](std::uint64_t record_offset, std::span<const Edge> batch) {
         engine->log_.append(batch);
         if (record_offset >= replay_from) {
-          engine->merge_batch(batch);
+          engine->merge_batch(batch, &relabeled);
           ++replayed;
         }
       },
@@ -165,74 +150,106 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
   return Status::ok();
 }
 
-std::uint64_t ConnectivityEngine::merge_batch(std::span<const Edge> batch) {
-  std::vector<VertexId>& p = parent_;
-  std::vector<VertexId>& next = scratch_;
-  const std::uint64_t n = p.size();
-  std::uint64_t rounds = 0;
-  while (true) {
-    // Fixpoint probe first: a batch whose edges are all internal (the
-    // heavy-traffic steady state) costs O(batch), not O(n).
-    const bool crossing = util::parallel_reduce(
-        std::size_t{0}, batch.size(), false,
-        [&](std::size_t i) { return p[batch[i].u] != p[batch[i].v]; },
-        [](bool a, bool b) { return a || b; });
-    if (!crossing) break;
-    ++rounds;
-    // Hook: the larger of the two current roots adopts the smaller.
-    // Offers read `p` (stable this round) and min-combine into `next`
-    // via atomic_min — order-invariant, hence bit-identical labels and
-    // round counts for every thread count. Only root entries
-    // receive offers, and every offered value is smaller than the target
-    // root's id, so pointers strictly decrease: no cycles, and the
-    // component minimum keeps parent_[m] == m — labels stay canonical.
-    util::parallel_for(0, n, [&](std::size_t v) { next[v] = p[v]; });
-    util::parallel_for(0, batch.size(), [&](std::size_t i) {
-      const VertexId lu = p[batch[i].u];
-      const VertexId lv = p[batch[i].v];
-      if (lu == lv) return;
-      const VertexId hi = lu > lv ? lu : lv;
-      const VertexId lo = lu > lv ? lv : lu;
-      util::atomic_min(next[hi], lo);
-    });
-    p.swap(next);
-    // Shortcut to flat so the next round's p[v] reads are root labels
-    // again (converges in O(log chain) steps; chains only merge roots).
-    while (shortcut_step(p, next)) {
-    }
-    LOGCC_CHECK_MSG(rounds <= 1u << 20, "batch merge failed to converge");
+VertexId ConnectivityEngine::find(VertexId v) {
+  VertexId r = labels_[v];
+  while (labels_[r] != r) {
+    const VertexId up = labels_[labels_[r]];
+    labels_[r] = up;
+    r = up;
   }
-  return rounds;
+  return r;
+}
+
+std::uint64_t ConnectivityEngine::merge_batch(std::span<const Edge> batch,
+                                              std::uint64_t* relabeled) {
+  // Hook: for each crossing edge the larger of the two roots adopts the
+  // smaller, through the roots' own labels_ entries (members keep pointing
+  // at their batch-start root). Hooks always point to a smaller id, so
+  // each batch-local tree's root is the minimum of the components it
+  // joins: the canonical label.
+  for (const Edge& e : batch) {
+    VertexId a = find(e.u);
+    VertexId b = find(e.v);
+    if (a == b) continue;
+    if (a > b) std::swap(a, b);
+    labels_[b] = a;
+    absorbed_.push_back(b);
+  }
+  // Point every absorbed root straight at its final root. find() only
+  // rewrites absorbed roots' entries, so members still hold their
+  // batch-start root.
+  for (const VertexId h : absorbed_) labels_[h] = find(h);
+  // Walk each absorbed member circle once, relabeling it to its final root,
+  // then splice it into that root's circle and move the size. A final root
+  // is never absorbed, so a splice never reaches a circle still to walk.
+  for (const VertexId h : absorbed_) {
+    const VertexId root = labels_[h];
+    pool_.note_changed(h);
+    for (VertexId v = next_[h]; v != h; v = next_[v]) {
+      labels_[v] = root;
+      pool_.note_changed(v);
+    }
+    std::swap(next_[root], next_[h]);
+    *relabeled += sizes_[h];
+    sizes_[root] += sizes_[h];
+    sizes_[h] = 0;
+    pool_.note_changed(root);
+  }
+  const std::uint64_t merges = absorbed_.size();
+  count_ -= merges;
+  absorbed_.clear();
+  return merges;
+}
+
+void ConnectivityEngine::adopt(std::vector<VertexId> labels) {
+  const std::uint64_t n = labels.size();
+  const bool canonical = util::parallel_reduce(
+      std::size_t{0}, static_cast<std::size_t>(n), true,
+      [&](std::size_t v) {
+        return labels[v] <= v && labels[labels[v]] == labels[v];
+      },
+      [](bool a, bool b) { return a && b; });
+  LOGCC_CHECK_MSG(canonical, "adopt: labels are not min-id canonical");
+  labels_ = std::move(labels);
+  sizes_.assign(n, 0);
+  next_.resize(n);
+  count_ = 0;
+  // Root r < v is visited first, so v slots in right after it.
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const VertexId r = labels_[v];
+    ++sizes_[r];
+    if (r == v) {
+      next_[v] = r;
+      ++count_;
+    } else {
+      next_[v] = next_[r];
+      next_[r] = static_cast<VertexId>(v);
+    }
+  }
+  pool_.note_rebuilt();
 }
 
 void ConnectivityEngine::publish() {
-  std::vector<VertexId> labels = parent_;  // flat == canonical min-id
-  auto index = core::ComponentIndex::from_canonical_labels(std::move(labels));
   if (degraded()) {
     // Exact tier frozen: only the sketch advances. The view pins the
-    // transient index it was built from (one epoch's worth, replaced on
-    // the next publish), so sketch answers stay internally consistent.
-    last_count_ = index.num_components();
+    // buffer it was built from until the next publish replaces it.
     sketched_.store(std::make_shared<const SketchedView>(SketchedView::build(
-        std::make_shared<const core::ComponentIndex>(std::move(index)),
+        index_of(pool_.fill(labels_, sizes_, count_, epoch_, true)),
         options_.sketch_options)));
     return;
   }
-  if (options_.publish_forest) index.attach_forest(parent_);
-  publish_index(
-      std::make_shared<const core::ComponentIndex>(std::move(index)));
+  publish_snapshot(pool_.fill(labels_, sizes_, count_, ++epoch_, false));
 }
 
-void ConnectivityEngine::publish_index(
-    std::shared_ptr<const core::ComponentIndex> next) {
-  last_count_ = next->num_components();
+void ConnectivityEngine::publish_snapshot(
+    std::shared_ptr<const Snapshot> next) {
   // The sketch tier is built BEFORE the exact snapshot swaps in, and the
   // view pins the index it summarizes — a reader combining sketched()
   // estimates with that view's index() is always epoch-consistent, even
   // though the two EpochPtr stores are not one atomic step.
   if (options_.sketched_view) {
     sketched_.store(std::make_shared<const SketchedView>(
-        SketchedView::build(next, options_.sketch_options)));
+        SketchedView::build(index_of(next), options_.sketch_options)));
   }
   published_.store(std::move(next));
 }
@@ -245,16 +262,16 @@ void ConnectivityEngine::maybe_degrade() {
   // when the engine was sized.
   log_.shed();
   degraded_.store(true, std::memory_order_release);
+  // Re-publish the frozen epoch flagged, so every answer it gives from now
+  // on says it may be stale. The state is the one just published.
+  published_.store(pool_.fill(labels_, sizes_, count_, epoch_, true));
 }
 
 std::uint64_t ConnectivityEngine::resident_bytes() const {
-  const std::uint64_t n = num_vertices();
-  std::uint64_t bytes = log_.memory_bytes();
-  bytes += (parent_.capacity() + scratch_.capacity()) * sizeof(VertexId);
-  // Published exact tier (labels + sizes + root table) — estimated rather
-  // than walked, since readers may be holding older epochs alive too.
-  bytes += 12 * n;
-  return bytes;
+  return log_.memory_bytes() +
+         (labels_.capacity() + next_.capacity() + absorbed_.capacity()) *
+             sizeof(VertexId) +
+         sizes_.capacity() * sizeof(std::uint64_t) + pool_.resident_bytes();
 }
 
 BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
@@ -301,12 +318,11 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
   }
 
   log_.append(batch);
-  const std::uint64_t before = last_count_;
-  out.rounds = merge_batch(batch);
+  out.merges = merge_batch(batch, &out.relabeled);
+  out.rounds = out.merges > 0 ? 1 : 0;
   // Crash site: merged in memory, not yet published/checkpointed.
   (void)LOGCC_FAILPOINT("engine_before_publish");
   publish();
-  out.merges = before - last_count_;
   maybe_degrade();
   out.degraded = degraded();
 
@@ -335,11 +351,11 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
 util::Status ConnectivityEngine::write_checkpoint_now() {
   CheckpointState state;
   state.n = num_vertices();
-  state.epoch = published_.epoch();
+  state.epoch = epoch_;
   state.batches = log_.num_batches();
   state.wal_offset = wal_.offset();
-  state.num_components = last_count_;
-  state.labels = parent_;
+  state.num_components = count_;
+  state.labels = labels_;
   return write_checkpoint(ckpt_path(options_.durability.dir), state);
 }
 
@@ -360,17 +376,14 @@ bool ConnectivityEngine::verify_and_rebuild() {
   auto r = connected_components(log_.input(), options_.rebuild_algorithm, opt);
   // Both sides are canonical min-id snapshots: agreement is exact equality
   // of labels, sizes, and count — not merely the same partition.
-  const auto current = published_.load();
-  const bool ok = current && r.index == *current;
-  // Roll the epoch forward with the recomputed index either way: on
-  // disagreement readers now see the *recomputed* truth (self-healing),
-  // and the caller learns the incremental state was bad. Re-seed the
-  // incremental forest from the rebuild so later batches continue from
-  // the verified labels.
-  if (options_.publish_forest) r.index.attach_forest(r.index.labels());
-  if (!ok) parent_ = r.index.labels();
-  publish_index(
-      std::make_shared<const core::ComponentIndex>(std::move(r.index)));
+  const bool ok = r.index == published_.load()->index;
+  // Roll the epoch forward either way. On agreement the writer already
+  // holds the recomputed state; on disagreement it adopts it, so readers
+  // now see the *recomputed* truth (self-healing) and the caller learns
+  // the incremental state was bad. Later batches continue from the
+  // verified labels.
+  if (!ok) adopt(r.index.labels());
+  publish();
   return ok;
 }
 
@@ -392,31 +405,32 @@ std::uint64_t ConnectivityEngine::approx_component_size(VertexId v) const {
 
 bool ConnectivityEngine::connected(VertexId u, VertexId v,
                                    QueryInfo* info) const {
-  const auto s = snapshot();
-  LOGCC_CHECK_MSG(u < s->num_vertices() && v < s->num_vertices(),
+  const auto s = published_.load();
+  LOGCC_CHECK_MSG(u < s->index.num_vertices() && v < s->index.num_vertices(),
                   "connected: vertex out of range");
   if (info != nullptr) {
-    info->epoch = published_.epoch();
-    info->degraded = degraded();
+    info->epoch = s->epoch;
+    info->degraded = s->degraded;
   }
-  return s->connected(u, v);
+  return s->index.connected(u, v);
 }
 
 VertexId ConnectivityEngine::component_of(VertexId v, QueryInfo* info) const {
-  const auto s = snapshot();
-  LOGCC_CHECK_MSG(v < s->num_vertices(), "component_of: vertex out of range");
+  const auto s = published_.load();
+  LOGCC_CHECK_MSG(v < s->index.num_vertices(),
+                  "component_of: vertex out of range");
   if (info != nullptr) {
-    info->epoch = published_.epoch();
-    info->degraded = degraded();
+    info->epoch = s->epoch;
+    info->degraded = s->degraded;
   }
-  return s->component_of(v);
+  return s->index.component_of(v);
 }
 
 std::uint64_t ConnectivityEngine::component_size(VertexId v) const {
-  const auto s = snapshot();
-  LOGCC_CHECK_MSG(v < s->num_vertices(),
+  const auto s = published_.load();
+  LOGCC_CHECK_MSG(v < s->index.num_vertices(),
                   "component_size: vertex out of range");
-  return s->component_size(v);
+  return s->index.component_size(v);
 }
 
 }  // namespace logcc::serve

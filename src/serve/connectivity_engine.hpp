@@ -2,20 +2,25 @@
 // "millions of users, heavy traffic" scenario from ROADMAP item 1.
 //
 // One writer thread feeds batches of edge insertions into a live graph
-// (graph::EdgeLog); each batch is merged into the maintained components by
-// a multi-threaded min-combining hook + shortcut fixpoint over just the
-// batch edges (the Liu–Tarjan machinery of baselines/lt_family.cpp,
-// specialized to an always-flat forest), running on the repo's scan
-// primitives and thread-pool runtime — deterministic per the bit-identity
-// contract: for a given batch sequence the labels, rounds, and published
-// snapshots are identical for every thread count.
+// (graph::EdgeLog). The writer keeps the canonical min-id label of every
+// vertex, root-indexed component sizes, the component count, and a
+// circular member list per component. A batch is merged in one sequential
+// pass over its edges: crossing edges hook the larger of their two root
+// ids under the smaller in a batch-local union-find over the labels, then
+// the members of every absorbed root are relabeled once, to their final
+// root, and the member lists are spliced. A batch therefore costs
+// O(batch + vertices relabeled), never a pass over n, and the result is
+// the unique min-id labeling: the same for every thread count and equal
+// to a full recompute, by construction.
 //
-// Queries never see the merge: after every batch the engine builds an
-// immutable core::ComponentIndex snapshot and swaps it in atomically
-// (util::EpochPtr shared_ptr publish). connected / component_of /
-// component_count / component_size read whatever epoch is current; a reader
-// holding snapshot() keeps that epoch's view alive for as long as it
-// wants.
+// Queries never see the merge: after every batch the engine publishes an
+// immutable Snapshot (core::ComponentIndex + epoch + degraded flag) and
+// swaps it in atomically (util::EpochPtr). Snapshots are recycled buffers
+// that the publish patches with just the entries the writer changed since
+// the buffer last served (serve/snapshot_pool.hpp). connected /
+// component_of / component_count / component_size read whatever epoch is
+// current; a reader holding snapshot() keeps that epoch's view alive for as
+// long as it wants, and a held buffer is never recycled.
 //
 // Trust, then verify: every `verify_every` batches (or on demand) the
 // engine recomputes components from scratch through the batch
@@ -26,13 +31,21 @@
 //
 // Crash safety (docs/ARCHITECTURE.md "Durability & fault tolerance"): with
 // DurabilityOptions::dir set, every batch is appended to a checksummed
-// write-ahead log (serve/wal.hpp) BEFORE it is merged, and the flat forest
-// is periodically checkpointed (serve/checkpoint.hpp, atomic
+// write-ahead log (serve/wal.hpp) BEFORE it is merged, and the labels are
+// periodically checkpointed (serve/checkpoint.hpp, atomic
 // rename-into-place). recover() = load checkpoint + replay the WAL suffix;
 // because every merge is bit-deterministic, the recovered ComponentIndex
 // equals the never-crashed engine's exactly — the invariant the
 // fault-labelled suite enforces by killing the process at every registered
 // failpoint.
+//
+// O(n) work left, and when it runs: construction and recover() rebuild
+// sizes and member lists from a label array; verify_and_rebuild()
+// recomputes from scratch and, on disagreement, does that rebuild too;
+// a checkpoint write copies the labels out; a publish falls back to a full
+// buffer copy when the pool has to grow or a buffer is far behind; and the
+// SketchedView build is a pass over n per publish when sketched_view is on
+// (always in degraded mode).
 //
 // Graceful degradation (EngineOptions::max_resident_bytes): when the
 // resident estimate crosses the cap the engine sheds the accumulated edge
@@ -56,6 +69,7 @@
 #include "graph/graph.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/sketched_view.hpp"
+#include "serve/snapshot_pool.hpp"
 #include "serve/wal.hpp"
 #include "util/epoch.hpp"
 #include "util/status.hpp"
@@ -85,8 +99,6 @@ struct EngineOptions {
   /// Batch algorithm the rebuild path runs (any of the 9 entry points).
   Algorithm rebuild_algorithm = Algorithm::kFasterCC;
   std::uint64_t seed = 1;
-  /// Attach the (flat) parent forest to published snapshots.
-  bool publish_forest = false;
   /// Build a SketchedView next to every published snapshot: queries can
   /// opt into the approximate tier (approx component count / sizes from KBs
   /// of sketch state) via sketched(). Costs one extra O(n) parallel pass
@@ -105,10 +117,13 @@ struct BatchResult {
   std::uint64_t batch = 0;   // 1-based index of this batch
   std::uint64_t edges = 0;   // edges in the batch (loops/duplicates included)
   std::uint64_t merges = 0;  // components removed by this batch
-  std::uint64_t rounds = 0;  // hook+shortcut rounds to fixpoint
-  double seconds = 0.0;      // merge + snapshot production (+ verify epoch)
-  bool verify_ran = false;   // a rebuild/verify epoch ran after this batch
-  bool verified = true;      // false iff it ran and disagreed
+  /// Passes over the batch that changed a label: 1 when any edge crossed
+  /// two components, else 0 (the merge reaches its fixpoint in one pass).
+  std::uint64_t rounds = 0;
+  std::uint64_t relabeled = 0;  // vertices whose label this batch changed
+  double seconds = 0.0;         // merge + snapshot production (+ verify epoch)
+  bool verify_ran = false;      // a rebuild/verify epoch ran after this batch
+  bool verified = true;         // false iff it ran and disagreed
   /// False iff the batch was refused (an endpoint >= n:
   /// kInvalidArgument) or the write-ahead append failed before the record
   /// landed: the batch was NOT applied (memory and disk both exclude it,
@@ -185,15 +200,19 @@ class ConnectivityEngine {
 
   // --- reader side (any number of threads, never blocked by the writer) --
   /// The current epoch's immutable snapshot (never null). In degraded mode
-  /// this is the last pre-degradation epoch (stale; see degraded()).
+  /// this is the last pre-degradation epoch (stale; see degraded()). The
+  /// pointer aliases the published Snapshot, so holding it pins that
+  /// epoch's buffer.
   std::shared_ptr<const core::ComponentIndex> snapshot() const {
-    return published_.load();
+    return index_of(published_.load());
   }
   bool connected(graph::VertexId u, graph::VertexId v,
                  QueryInfo* info = nullptr) const;
   graph::VertexId component_of(graph::VertexId v,
                                QueryInfo* info = nullptr) const;
-  std::uint64_t component_count() const { return snapshot()->num_components(); }
+  std::uint64_t component_count() const {
+    return published_.load()->index.num_components();
+  }
   std::uint64_t component_size(graph::VertexId v) const;
 
   // --- approximate tier (EngineOptions::sketched_view) -------------------
@@ -214,46 +233,60 @@ class ConnectivityEngine {
   std::uint64_t num_vertices() const { return log_.num_vertices(); }
   std::uint64_t num_edges() const { return log_.num_edges(); }
   std::uint64_t num_batches() const { return log_.num_batches(); }
-  /// Published snapshot generation (increments on every batch and rebuild).
-  std::uint64_t epoch() const { return published_.epoch(); }
+  /// Published snapshot generation (increments on every batch and rebuild;
+  /// frozen in degraded mode).
+  std::uint64_t epoch() const { return published_.load()->epoch; }
   const graph::EdgeLog& edges() const { return log_; }
   bool durable() const { return durable_; }
   /// True once the degradation ladder tripped (sticky for this engine's
   /// lifetime; recovery from the WAL yields an un-degraded engine).
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
-  /// Estimate of resident bytes (edge log + forest arrays + published
-  /// snapshot tiers) — what max_resident_bytes is compared against.
+  /// Resident bytes: the edge log, the writer's labels, sizes and member
+  /// links, and every pooled snapshot buffer (pinned or free) — what
+  /// max_resident_bytes is compared against.
   std::uint64_t resident_bytes() const;
   /// WAL byte offset of the durable stream position (0 when not durable).
   std::uint64_t wal_offset() const { return durable_ ? wal_.offset() : 0; }
 
  private:
-  /// Hook+shortcut the batch into the flat forest; returns rounds.
-  std::uint64_t merge_batch(std::span<const graph::Edge> batch);
-  /// Builds and swaps in the next snapshot from the current flat forest.
-  /// In degraded mode only the sketch tier advances.
+  /// Merges the batch into the writer state (see the file comment); adds
+  /// the vertices it relabeled to `relabeled`. Returns the merges.
+  std::uint64_t merge_batch(std::span<const graph::Edge> batch,
+                            std::uint64_t* relabeled);
+  /// Root of v's component mid-batch: follows labels_ from v's batch-start
+  /// root through the roots this batch hooked, halving that path.
+  graph::VertexId find(graph::VertexId v);
+  /// Replaces the writer state with canonical `labels` (LOGCC_CHECKed in
+  /// full) and rebuilds sizes, count and member lists: O(n).
+  void adopt(std::vector<graph::VertexId> labels);
+  /// Fills the next snapshot from the writer state and swaps it in. In
+  /// degraded mode only the sketch tier advances.
   void publish();
-  /// Shared publish tail: stores the index (and, when enabled, the
-  /// SketchedView built from it) as the next epoch.
-  void publish_index(std::shared_ptr<const core::ComponentIndex> next);
+  /// Stores `next` as the published epoch, building the SketchedView over
+  /// it first when enabled.
+  void publish_snapshot(std::shared_ptr<const Snapshot> next);
   /// Trips the ladder when the resident estimate crosses the cap.
   void maybe_degrade();
-  /// Writes a checkpoint of the current forest at the current WAL offset.
+  /// Writes a checkpoint of the current labels at the current WAL offset.
   util::Status write_checkpoint_now();
 
   EngineOptions options_;
   graph::EdgeLog log_;
-  // The incremental state: always flat between batches, parent_[v] is the
-  // canonical (min-id) label of v's component. scratch_ is the shortcut
-  // double buffer.
-  std::vector<graph::VertexId> parent_;
-  std::vector<graph::VertexId> scratch_;
-  std::uint64_t last_count_ = 0;  // published count (writer-side bookkeeping)
-  util::EpochPtr<core::ComponentIndex> published_;
+  // The writer state, canonical between batches: labels_[v] is the min id
+  // of v's component, sizes_[r] the size of the component rooted at r (0 at
+  // non-roots), and next_ links each component's members in a circle.
+  std::vector<graph::VertexId> labels_;
+  std::vector<std::uint64_t> sizes_;
+  std::vector<graph::VertexId> next_;
+  std::uint64_t count_ = 0;
+  std::uint64_t epoch_ = 0;  // last exact epoch published
+  std::vector<graph::VertexId> absorbed_;  // roots hooked in this batch
+  SnapshotPool pool_;
+  util::EpochPtr<Snapshot> published_;
   util::EpochPtr<SketchedView> sketched_;  // empty unless options say so
   WalWriter wal_;                          // open iff durable_
   bool durable_ = false;
-  // Written by the writer thread, read by query threads via QueryInfo.
+  // Sticky writer-side flag; queries read the copy in their Snapshot.
   std::atomic<bool> degraded_{false};
 };
 

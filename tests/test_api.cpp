@@ -50,7 +50,6 @@ TEST(Api, ResultIndexAnswersPointQueries) {
     EXPECT_EQ(ix.sizes()[0], 5u) << to_string(alg);
     EXPECT_EQ(ix.sizes()[5], 4u) << to_string(alg);
     EXPECT_EQ(ix.sizes()[1], 0u) << to_string(alg);  // non-root slot
-    EXPECT_FALSE(ix.has_forest()) << to_string(alg);
   }
 }
 

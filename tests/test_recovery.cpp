@@ -190,23 +190,37 @@ TEST_F(Recovery, CheckpointCadencePlusWalSuffixReplay) {
   const std::string dir = test_dir("ckpt_suffix");
   clean_dir(dir);
   const auto batches = workload();
+  // Stop 3 short of the stream, off the cadence: the last checkpoint
+  // covers a prefix and the batches after it exist only in the WAL.
+  const std::size_t crash_at = batches.size() - 3;
+  ASSERT_NE(crash_at % 3, 0u);
   {
     std::unique_ptr<ConnectivityEngine> engine;
     ASSERT_TRUE(ConnectivityEngine::recover(dir, kN, durable_options(dir),
                                             &engine, nullptr)
                     .is_ok());
-    for (const auto& b : batches) engine->apply_batch(b);
-    // No flush: the last checkpoint sits at the cadence boundary and the
-    // tail batches exist only in the WAL.
+    for (std::size_t i = 0; i < crash_at; ++i) engine->apply_batch(batches[i]);
+    // No flush: the engine is dropped as if the process died.
   }
+  std::unique_ptr<ConnectivityEngine> engine;
   ConnectivityEngine::RecoveryInfo info;
-  expect_recovers_to_prefix(dir, static_cast<std::int64_t>(batches.size()),
-                            &info);
+  ASSERT_TRUE(ConnectivityEngine::recover(dir, kN, durable_options(dir),
+                                          &engine, &info)
+                  .is_ok());
+  EXPECT_EQ(engine->num_batches(), crash_at);
+  EXPECT_TRUE(*engine->snapshot() == *reference_index(crash_at));
   EXPECT_TRUE(info.used_checkpoint);
-  const std::uint64_t expected_ckpt =
-      (batches.size() / 3) * 3;  // checkpoint_every = 3
+  const std::uint64_t expected_ckpt = (crash_at / 3) * 3;  // cadence 3
   EXPECT_EQ(info.checkpoint_batches, expected_ckpt);
-  EXPECT_EQ(info.replayed_records, batches.size() - expected_ckpt);
+  EXPECT_EQ(info.replayed_records, crash_at - expected_ckpt);
+  // The batches after recovery merge on member lists rebuilt from the
+  // checkpoint's labels; every epoch must equal the never-crashed engine.
+  for (std::size_t i = crash_at; i < batches.size(); ++i) {
+    const auto res = engine->apply_batch(batches[i]);
+    ASSERT_TRUE(res.applied) << res.durability.to_string();
+    EXPECT_TRUE(*engine->snapshot() == *reference_index(i + 1))
+        << "diverged at batch " << i + 1;
+  }
 }
 
 TEST_F(Recovery, CorruptCheckpointFallsBackToFullReplay) {

@@ -7,14 +7,16 @@
 // comparison is exact equality, not merely same-partition.
 //
 // On top of that: epoch-swap reader semantics (queries never see a
-// half-merged state; old snapshots stay valid), the rebuild/verify
-// cadence, and a concurrent reader/writer scenario the TSan CI job
-// race-checks.
+// half-merged state; old snapshots stay valid, even though the engine
+// recycles released snapshot buffers), the rebuild/verify cadence, the
+// worst case for the min-id relabel, and concurrent reader/writer
+// scenarios the TSan CI job race-checks.
 #include "serve/connectivity_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -95,6 +97,8 @@ TEST(Serve, ToleratesSelfLoopsDuplicatesAndEmptyBatches) {
   std::vector<Edge> weird{{0, 0}, {1, 2}, {2, 1}, {1, 2}, {3, 3}};
   auto r1 = engine.apply_batch(weird);
   EXPECT_EQ(r1.merges, 1u);
+  EXPECT_EQ(r1.rounds, 1u);
+  EXPECT_EQ(r1.relabeled, 1u);  // {2} joins {1}
   EXPECT_EQ(engine.component_count(), 3u);
   // An empty batch is a no-op epoch (steady-state fixpoint probe: 0 rounds).
   auto r2 = engine.apply_batch({});
@@ -103,7 +107,17 @@ TEST(Serve, ToleratesSelfLoopsDuplicatesAndEmptyBatches) {
   // Re-inserting internal edges merges nothing and costs zero rounds.
   auto r3 = engine.apply_batch(std::vector<Edge>{{1, 2}, {2, 2}});
   EXPECT_EQ(r3.rounds, 0u);
+  EXPECT_EQ(r3.relabeled, 0u);
   EXPECT_EQ(engine.component_count(), 3u);
+  EXPECT_TRUE(*engine.snapshot() ==
+              recompute(4, engine.edges().edges()));
+  // One pass merges everything: {0} absorbs {1, 2} and {3}, each vertex
+  // relabeled once.
+  auto r4 = engine.apply_batch(std::vector<Edge>{{3, 2}, {1, 0}});
+  EXPECT_EQ(r4.rounds, 1u);
+  EXPECT_EQ(r4.merges, 2u);
+  EXPECT_EQ(r4.relabeled, 3u);
+  EXPECT_EQ(engine.component_count(), 1u);
   EXPECT_TRUE(*engine.snapshot() ==
               recompute(4, engine.edges().edges()));
 }
@@ -168,16 +182,104 @@ TEST(Serve, VerifyAndRebuildAgreesForEveryRebuildAlgorithm) {
   }
 }
 
-TEST(Serve, PublishForestAttachesFlatForest) {
-  EngineOptions opts;
-  opts.publish_forest = true;
-  ConnectivityEngine engine(5, opts);
-  engine.apply_batch(std::vector<Edge>{{0, 1}, {3, 4}});
-  auto s = engine.snapshot();
-  ASSERT_TRUE(s->has_forest());
-  EXPECT_EQ(s->forest(), s->labels());  // the engine's forest is flat
-  engine.verify_and_rebuild();
-  EXPECT_TRUE(engine.snapshot()->has_forest());
+// Published buffers are recycled once released, so a held snapshot must
+// never be the buffer a later publish patches. Epochs k and k+1 are held
+// across 200 more batches and compared to copies taken when they were
+// current. With every epoch pinned, each publish needs a fresh buffer (a
+// full copy) and every pinned epoch must still equal its copy at the end;
+// with nothing else held, publishes patch the released buffers. Either way
+// every epoch must equal the recompute.
+TEST(Serve, RecyclingNeverMutatesAHeldSnapshot) {
+  const auto el = graph::make_gnm(5000, 2300, 61);
+  const auto batches = batches_of(el, 10);
+  ASSERT_GE(batches.size(), 210u);
+  for (const bool pin_every_epoch : {true, false}) {
+    SCOPED_TRACE(pin_every_epoch ? "every epoch pinned" : "patch path");
+    ConnectivityEngine engine(el.n);
+    std::vector<std::shared_ptr<const core::ComponentIndex>> pinned;
+    std::vector<core::ComponentIndex> pinned_copies;
+    std::shared_ptr<const core::ComponentIndex> held_k, held_k1;
+    core::ComponentIndex copy_k, copy_k1;
+    std::uint64_t applied = 0, resident_after_hold = 0;
+    for (std::size_t b = 0; b < 210; ++b) {
+      engine.apply_batch(batches[b]);
+      applied += batches[b].size();
+      if (pin_every_epoch) {
+        pinned.push_back(engine.snapshot());
+        pinned_copies.push_back(*pinned.back());
+      }
+      if (b == 4) {
+        held_k = engine.snapshot();
+        copy_k = *held_k;
+      } else if (b == 5) {
+        held_k1 = engine.snapshot();
+        copy_k1 = *held_k1;
+        resident_after_hold = engine.resident_bytes();
+      }
+      ASSERT_TRUE(*engine.snapshot() ==
+                  recompute(el.n, std::span<const Edge>(el.edges).first(
+                                      applied)))
+          << "batch " << b;
+      if (b > 5) {
+        ASSERT_TRUE(*held_k == copy_k) << "epoch k changed at batch " << b;
+        ASSERT_TRUE(*held_k1 == copy_k1)
+            << "epoch k+1 changed at batch " << b;
+      }
+    }
+    EXPECT_FALSE(copy_k == copy_k1);
+    for (std::size_t e = 0; e < pinned.size(); ++e)
+      ASSERT_TRUE(*pinned[e] == pinned_copies[e]) << "pinned batch " << e;
+    // Pinning every epoch grows the pool by one buffer per batch; without
+    // readers it recycles and stays at the size it had.
+    const std::uint64_t buffer_bytes = el.n * 12;
+    if (pin_every_epoch)
+      EXPECT_GT(engine.resident_bytes(),
+                resident_after_hold + 100 * buffer_bytes);
+    else
+      EXPECT_LE(engine.resident_bytes(),
+                resident_after_hold + 3 * buffer_bytes);
+  }
+}
+
+// The min-id labeling's worst case: a path streamed in decreasing id order
+// makes each batch relabel the whole growing component, and a final batch
+// hands a large component with a high minimum to a low-id singleton. Every
+// vertex is relabeled at most once per batch, and every epoch equals the
+// recompute.
+TEST(Serve, RelabelAdversaryMatchesRecompute) {
+  constexpr std::uint64_t n = 600;
+  std::vector<Edge> edges;
+  for (VertexId v = n - 1; v > n / 2; --v) edges.push_back({v, v - 1});
+  edges.push_back({n - 1, 0});  // its own batch: {300..599} into {0}
+  std::vector<std::span<const Edge>> batches;
+  std::span<const Edge> path = std::span<const Edge>(edges).first(
+      edges.size() - 1);
+  for (std::size_t off = 0; off < path.size(); off += 7)
+    batches.push_back(path.subspan(off, std::min<std::size_t>(
+                                            7, path.size() - off)));
+  batches.push_back(std::span<const Edge>(edges).last(1));
+
+  ConnectivityEngine engine(n);
+  std::uint64_t applied = 0, component = 1;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const auto res = engine.apply_batch(batches[b]);
+    applied += batches[b].size();
+    ASSERT_TRUE(*engine.snapshot() ==
+                recompute(n, std::span<const Edge>(edges).first(applied)))
+        << "batch " << b;
+    EXPECT_EQ(res.merges, batches[b].size());
+    if (b + 1 < batches.size()) {
+      // The old component and all but the last new vertex take the new
+      // minimum.
+      EXPECT_EQ(res.relabeled, component + batches[b].size() - 1)
+          << "batch " << b;
+      component += batches[b].size();
+    } else {
+      EXPECT_EQ(res.relabeled, n / 2);
+    }
+  }
+  EXPECT_EQ(engine.component_size(n - 1), n / 2 + 1);
+  EXPECT_EQ(engine.component_of(n - 1), 0u);
 }
 
 // The determinism contract, extended to the serving layer: for a given
@@ -215,9 +317,8 @@ TEST_F(ThreadInvariance, ServeSnapshotsBitIdenticalAcrossThreads) {
   }
 }
 
-// Round counts are part of the bit-identity contract too (the hook is
-// order-invariant min-combining, so convergence takes the same number of
-// rounds everywhere).
+// Per-batch counts are part of the bit-identity contract too: rounds,
+// merges and vertices relabeled depend only on the batch sequence.
 TEST_F(ThreadInvariance, ServeRoundCountsThreadInvariant) {
   const auto el = graph::make_rmat(9, 2048, 3);
   const auto batches = batches_of(el, 128);
@@ -225,12 +326,15 @@ TEST_F(ThreadInvariance, ServeRoundCountsThreadInvariant) {
   for (int threads : {1, 2, 4, 8}) {
     util::set_parallelism(threads);
     ConnectivityEngine engine(el.n);
-    std::vector<std::uint64_t> rounds;
-    for (auto batch : batches) rounds.push_back(engine.apply_batch(batch).rounds);
+    std::vector<std::uint64_t> counts;
+    for (auto batch : batches) {
+      const auto res = engine.apply_batch(batch);
+      counts.insert(counts.end(), {res.rounds, res.merges, res.relabeled});
+    }
     if (reference.empty())
-      reference = rounds;
+      reference = counts;
     else
-      ASSERT_EQ(rounds, reference) << "threads=" << threads;
+      ASSERT_EQ(counts, reference) << "threads=" << threads;
   }
 }
 
@@ -273,6 +377,73 @@ TEST(Serve, ConcurrentReadersSeeOnlyPublishedEpochs) {
   for (auto& r : readers) r.join();
   EXPECT_GT(query_count.load(), 0u);
   EXPECT_TRUE(*engine.snapshot() == recompute(el.n, engine.edges().edges()));
+}
+
+// The metadata a query reports describes the snapshot that answered it:
+// readers record (epoch, vertex, answer) from component_of / connected,
+// the writer records the labels of every epoch it published, and each
+// answer must match the labels of the epoch it was tagged with. The stream
+// is a path in decreasing id order, one edge per batch, so every epoch
+// relabels the whole growing component and an answer tagged with a
+// neighbouring epoch would disagree.
+TEST(Serve, QueryEpochMatchesTheAnsweringSnapshot) {
+  constexpr std::uint64_t n = 1000;
+  std::vector<Edge> edges;
+  for (VertexId v = n - 1; v > 0; --v) edges.push_back({v, v - 1});
+  ConnectivityEngine engine(n);
+  std::vector<std::vector<VertexId>> labels_at(2);
+  labels_at[1] = engine.snapshot()->labels();
+  // component_of(v) answers `value` = the label; connected(u, v) answers
+  // `value` = u and `joined`.
+  struct Answer {
+    std::uint64_t epoch;
+    bool is_connected;
+    VertexId v, value;
+    bool joined;
+  };
+  std::atomic<bool> done{false};
+  std::vector<std::vector<Answer>> answers(4);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<Answer>& out = answers[static_cast<std::size_t>(t)];
+      VertexId v = static_cast<VertexId>(t);
+      while ((!done.load(std::memory_order_acquire) || out.size() < 100) &&
+             out.size() < 200000) {
+        const VertexId u = (v * 7 + 3) % static_cast<VertexId>(n);
+        serve::QueryInfo a, b;
+        const VertexId label = engine.component_of(v, &a);
+        const bool joined = engine.connected(u, v, &b);
+        EXPECT_FALSE(a.degraded || b.degraded);
+        out.push_back({a.epoch, false, v, label, false});
+        out.push_back({b.epoch, true, v, u, joined});
+        v = (v + 13) % static_cast<VertexId>(n);
+      }
+    });
+  }
+  for (const Edge& e : edges) {
+    engine.apply_batch(std::span<const Edge>(&e, 1));
+    labels_at.resize(engine.epoch() + 1);
+    labels_at[engine.epoch()] = engine.snapshot()->labels();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  std::uint64_t checked = 0;
+  for (const auto& per_reader : answers) {
+    for (const Answer& a : per_reader) {
+      ASSERT_LT(a.epoch, labels_at.size());
+      const auto& labels = labels_at[a.epoch];
+      ASSERT_FALSE(labels.empty()) << "epoch " << a.epoch << " never published";
+      if (a.is_connected)
+        ASSERT_EQ(labels[a.value] == labels[a.v], a.joined)
+            << "connected tagged epoch " << a.epoch;
+      else
+        ASSERT_EQ(labels[a.v], a.value) << "component_of tagged epoch "
+                                        << a.epoch;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace
