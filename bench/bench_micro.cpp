@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/building_blocks.hpp"
@@ -279,9 +280,11 @@ void BM_GroupByThreaded(benchmark::State& state) {
     items[i] = {static_cast<std::uint32_t>(util::mix64(5, i) % num_keys),
                 static_cast<std::uint32_t>(i)};
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  std::vector<std::size_t> off(num_keys + 1);
   for (auto _ : state) {
-    auto off = util::parallel_group_by(
-        items, out, num_keys, [](const auto& p) { return p.first; });
+    util::parallel_group_by_into(
+        items, out, num_keys, [](const auto& p) { return p.first; },
+        std::span(off));
     benchmark::DoNotOptimize(off.back());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

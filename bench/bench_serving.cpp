@@ -2,15 +2,19 @@
 // query latency under concurrent readers, reported into the canonical
 // logcc-bench-v1 bench.json.
 //
-//   $ ./bench_serving --generate=gnm2:200000 --batch-edges=2000 \
-//                     --query-threads=4 [--verify-every=0] [--reps=3] \
+//   $ ./bench_serving --generate=gnm2:200000 --batch-edges=2000
+//                     --query-threads=4 [--verify-every=0] [--reps=3]
 //                     [--json=bench_serving.json]
 //
 // The writer replays the generator edge stream batch by batch while
 // `query-threads` reader threads hammer connected(u, v) on random vertex
 // pairs against whatever snapshot epoch is current, timing every query.
-// Per rep the engine is rebuilt from scratch (same stream), so min-of-reps
-// stays meaningful for the regression gate.
+// Each reader keeps a fixed-size uniform sample of its latencies (reservoir
+// sampling on counter-based coins), so memory stays bounded however many
+// queries a rep answers; the quantiles come from the pooled samples and
+// `queries` counts every answered query. Per rep the engine is rebuilt
+// from scratch (same stream), so min-of-reps stays meaningful for the
+// regression gate.
 //
 // bench.json cells (all under the one "runs" array the gate reads):
 //   serve-batch-apply : seconds = total apply_batch time for the stream
@@ -25,6 +29,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "bench_support.hpp"
 #include "graph/binary_io.hpp"
@@ -36,6 +41,26 @@
 namespace {
 
 using namespace logcc;
+
+/// Latencies kept per reader thread (512 KiB of doubles).
+constexpr std::size_t kKeptLatencies = std::size_t{1} << 16;
+
+/// One reader's uniform latency sample: the k-th query (from 0) replaces a
+/// kept one with probability kKeptLatencies / (k + 1).
+struct LatencySample {
+  std::vector<double> kept;
+  std::uint64_t seen = 0;
+
+  void add(double seconds, std::uint64_t seed) {
+    const std::uint64_t k = seen++;
+    if (k < kKeptLatencies) {
+      kept.push_back(seconds);
+      return;
+    }
+    const std::uint64_t j = util::mix64(seed, k) % (k + 1);
+    if (j < kKeptLatencies) kept[j] = seconds;
+  }
+};
 
 struct RepOutcome {
   double apply_seconds = 0.0;
@@ -76,12 +101,15 @@ RepOutcome replay(const graph::EdgeList& el, std::uint64_t batch_edges,
   serve::ConnectivityEngine& engine = *owned;
 
   std::atomic<bool> done{false};
-  std::vector<std::vector<double>> latencies(
+  std::vector<LatencySample> latencies(
       static_cast<std::size_t>(query_threads));
   std::vector<std::thread> readers;
   for (int t = 0; t < query_threads; ++t) {
     readers.emplace_back([&, t] {
-      std::vector<double>& lat = latencies[static_cast<std::size_t>(t)];
+      LatencySample& lat = latencies[static_cast<std::size_t>(t)];
+      lat.kept.reserve(kKeptLatencies);
+      const std::uint64_t sample_seed =
+          util::mix64(seed, static_cast<std::uint64_t>(t), 0x5A3);
       std::uint64_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
         const auto u = static_cast<graph::VertexId>(
@@ -92,7 +120,7 @@ RepOutcome replay(const graph::EdgeList& el, std::uint64_t batch_edges,
             el.n);
         util::Timer q;
         const bool conn = engine.connected(u, v);
-        lat.push_back(q.seconds());
+        lat.add(q.seconds(), sample_seed);
         // Keep the answer observable so the query is never optimized out.
         i += 1 + static_cast<std::uint64_t>(conn);
       }
@@ -113,9 +141,10 @@ RepOutcome replay(const graph::EdgeList& el, std::uint64_t batch_edges,
   for (auto& r : readers) r.join();
 
   std::vector<double> lat;
-  for (auto& per_thread : latencies)
-    lat.insert(lat.end(), per_thread.begin(), per_thread.end());
-  out.queries = lat.size();
+  for (const LatencySample& per_thread : latencies) {
+    lat.insert(lat.end(), per_thread.kept.begin(), per_thread.kept.end());
+    out.queries += per_thread.seen;
+  }
   out.p50 = util::percentile(lat, 50.0);
   out.p99 = util::percentile(lat, 99.0);
   out.components = engine.component_count();

@@ -1,8 +1,8 @@
 // cc_bench — the unified benchmark driver and the canonical source of the
 // repo's perf trajectory (`bench.json`, schema "logcc-bench-v1").
 //
-//   $ ./cc_bench --generate=grid:5300000 --binary-cache=grid.bin \
-//                --algorithms=vanilla,theorem1,faster-cc,sv \
+//   $ ./cc_bench --generate=grid:5300000 --binary-cache=grid.bin
+//                --algorithms=vanilla,theorem1,faster-cc,sv
 //                --threads=1,2,8 --json=bench.json
 //
 // One invocation: resolve a dataset (text/binary file, or a generator family

@@ -3,14 +3,14 @@
 // between batches, and cross-check the incremental state against a full
 // recompute on the configured cadence.
 //
-//   $ ./examples/cc_serve --generate=gnm2:20000 --batch-edges=500 \
-//                         --verify-every=8 [--algorithm=faster-cc] \
+//   $ ./examples/cc_serve --generate=gnm2:20000 --batch-edges=500
+//                         --verify-every=8 [--algorithm=faster-cc]
 //                         [--queries=256] [--seed=1]
 //
 // Crash-safe serving (docs/ARCHITECTURE.md "Durability & fault tolerance"):
 //
-//   $ ./examples/cc_serve ... --durable-dir=/var/lib/logcc \
-//         [--fsync=none|batch|every-n] [--checkpoint-every=32] \
+//   $ ./examples/cc_serve ... --durable-dir=/var/lib/logcc
+//         [--fsync=none|batch|every-n] [--checkpoint-every=32]
 //         [--labels-out=labels.txt] [--crash-after=K]
 //
 // With --durable-dir the engine is built via ConnectivityEngine::recover:

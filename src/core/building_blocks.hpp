@@ -97,10 +97,12 @@ void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
                      std::vector<std::uint64_t>& first_seen,
                      std::vector<VertexId>& out);
 
-/// Count-only variant of collect_ongoing, same scratch protocol.
-std::uint64_t count_ongoing(const ParentForest& forest,
-                            const std::vector<Arc>& arcs,
-                            std::vector<std::uint64_t>& first_seen);
+/// Flags the ongoing vertices — the same set collect_ongoing lists — in
+/// `flags` (resized to n, 1 = endpoint of a non-loop arc) and returns their
+/// count. Idempotent byte stores plus a reduce over n, so both the flags and
+/// the count are identical for every thread count.
+std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
+                           std::vector<std::uint8_t>& flags);
 
 /// Guaranteed-convergent finisher (DESIGN.md §5.3): deterministic
 /// Boruvka-style min-label hooking + full flatten + ALTER until no non-loop

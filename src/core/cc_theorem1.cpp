@@ -162,38 +162,8 @@ CcResult theorem1_cc(const graph::ArcsInput& in, const Theorem1Params& params) {
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
 
   // PREPARE (§B.2): densify with Vanilla while m/n' is below target.
-  if (has_nonloop(arcs)) {
-    double density = static_cast<double>(m0) /
-                     std::max<double>(1.0, static_cast<double>(n));
-    if (density < params.prepare_target_density) {
-      out.stats.prepare_used = true;
-      VanillaOptions vo;
-      vo.max_phases = 1;
-      const std::uint64_t phases_before = out.stats.phases;
-      std::uint64_t budget = params.prepare_max_phases;
-      if (budget == Theorem1Params::kAutoPreparePhases)
-        budget = static_cast<std::uint64_t>(
-                     2.0 * util::loglog_density(n, m0)) +
-                 4;
-      std::vector<std::uint64_t> seen_scratch;
-      std::vector<VertexId> ongoing;
-      std::uint64_t prepare_phases = 0;
-      while (prepare_phases < budget && has_nonloop(arcs)) {
-        util::scratch_arena_round_reset();
-        collect_ongoing(forest, arcs, seen_scratch, ongoing);
-        if (static_cast<double>(m0) /
-                std::max<double>(1.0, static_cast<double>(ongoing.size())) >=
-            params.prepare_target_density)
-          break;
-        vo.seed = util::mix64(params.seed, 0xAA00 + prepare_phases);
-        vanilla_phases(forest, arcs, vo, out.stats);
-        ++prepare_phases;
-      }
-      // Report densification separately from the theorem's phase loop.
-      out.stats.prepare_phases += out.stats.phases - phases_before;
-      out.stats.phases = phases_before;
-    }
-  }
+  vanilla_prepare(forest, arcs, m0, params.prepare_target_density,
+                  params.prepare_max_phases, params.seed, 0xAA00, out.stats);
 
   theorem1_phases(forest, arcs, m0, params, out.stats);
 

@@ -15,6 +15,7 @@
 #include "core/budget.hpp"
 #include "core/building_blocks.hpp"
 #include "core/metrics.hpp"
+#include "core/vanilla.hpp"
 #include "graph/graph.hpp"
 
 namespace logcc::core {
@@ -35,12 +36,8 @@ struct Theorem1Params {
   /// PREPARE runs Vanilla phases until m/n' reaches this density (the
   /// paper's log^c n) or the graph is solved or the phase budget runs out.
   double prepare_target_density = 64.0;
-  /// kAutoPreparePhases resolves to Θ(log log n) phases — the paper's fixed
-  /// PREPARE budget (c · log_{8/7} log n). A constant-density stopping rule
-  /// alone would contract high-diameter graphs all the way down and erase
-  /// the log d term the experiments measure.
-  static constexpr std::uint64_t kAutoPreparePhases =
-      static_cast<std::uint64_t>(-1);
+  /// Phase budget; kAutoPreparePhases = Θ(log log n), see vanilla.hpp for
+  /// why a fixed budget exists.
   std::uint64_t prepare_max_phases = kAutoPreparePhases;
 
   /// 0 = automatic: C · log log_{m/n} n + K phases before the deterministic

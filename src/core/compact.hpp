@@ -20,6 +20,7 @@
 #include "core/building_blocks.hpp"
 #include "core/labels.hpp"
 #include "core/metrics.hpp"
+#include "core/vanilla.hpp"
 #include "graph/graph.hpp"
 
 namespace logcc::core {
@@ -35,9 +36,7 @@ struct CompactParams {
   std::uint64_t seed = 1;
   /// PREPARE target: densify until m / #ongoing >= this (or solved).
   double target_density = 64.0;
-  /// Sentinel = Θ(log log n) auto budget (see Theorem1Params).
-  static constexpr std::uint64_t kAutoPreparePhases =
-      static_cast<std::uint64_t>(-1);
+  /// Phase budget; kAutoPreparePhases = Θ(log log n) (see vanilla.hpp).
   std::uint64_t prepare_max_phases = kAutoPreparePhases;
 };
 

@@ -180,31 +180,9 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
   ExpandScratch expand_scratch;             // ditto (slot map + fill buffers)
 
   // FOREST-PREPARE: Vanilla-SF densification.
-  if (has_nonloop(arcs)) {
-    std::uint64_t prepare_phases = 0;
-    const std::uint64_t phases_before = out.stats.phases;
-    std::uint64_t budget = params.prepare_max_phases;
-    if (budget == SpanningForestParams::kAutoPreparePhases)
-      budget =
-          static_cast<std::uint64_t>(2.0 * util::loglog_density(n, m0)) + 4;
-    VanillaOptions vo;
-    vo.max_phases = 1;
-    std::vector<VertexId> ongoing;
-    while (prepare_phases < budget && has_nonloop(arcs)) {
-      util::scratch_arena_round_reset();
-      collect_ongoing(forest, arcs, seen_scratch, ongoing);
-      if (static_cast<double>(m0) /
-              std::max<double>(1.0, static_cast<double>(ongoing.size())) >=
-          params.prepare_target_density)
-        break;
-      out.stats.prepare_used = true;
-      vo.seed = util::mix64(params.seed, 0xF0AE57 + prepare_phases);
-      vanilla_sf_phases(forest, arcs, in_forest, vo, out.stats);
-      ++prepare_phases;
-    }
-    out.stats.prepare_phases += out.stats.phases - phases_before;
-    out.stats.phases = phases_before;
-  }
+  vanilla_prepare(forest, arcs, m0, params.prepare_target_density,
+                  params.prepare_max_phases, params.seed, 0xF0AE57, out.stats,
+                  &in_forest);
 
   std::uint64_t max_phases = params.max_phases;
   if (max_phases == 0) {

@@ -1,7 +1,10 @@
 #include "core/vanilla.hpp"
 
+#include <algorithm>
+
 #include "core/round_arena.hpp"
 #include "util/arena.hpp"
+#include "util/bitutil.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -91,11 +94,38 @@ template std::uint64_t vanilla_phases(ParentForest&, std::vector<Arc>&,
 template std::uint64_t vanilla_phases(ParentForest64&, std::vector<Arc64>&,
                                       const VanillaOptions&, RunStats&);
 
-std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
-                                std::vector<std::uint8_t>& in_forest,
-                                const VanillaOptions& opt, RunStats& stats) {
-  return run_phases(forest, arcs, opt, stats,
-                    [&](const Arc& a) { in_forest[a.orig] = 1; });
+std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,
+                              std::uint64_t m0, double target_density,
+                              std::uint64_t max_phases, std::uint64_t seed,
+                              std::uint64_t salt, RunStats& stats,
+                              std::vector<std::uint8_t>* in_forest) {
+  if (max_phases == kAutoPreparePhases)
+    max_phases = static_cast<std::uint64_t>(
+                     2.0 * util::loglog_density(forest.size(), m0)) +
+                 4;
+  const std::uint64_t phases_before = stats.phases;
+  VanillaOptions vo;
+  vo.max_phases = 1;
+  std::vector<std::uint8_t> ongoing;  // reused by every phase
+  std::uint64_t phases = 0;
+  while (phases < max_phases && has_nonloop(arcs)) {
+    util::scratch_arena_round_reset();
+    const std::uint64_t k = mark_ongoing(forest.size(), arcs, ongoing);
+    if (static_cast<double>(m0) /
+            std::max<double>(1.0, static_cast<double>(k)) >=
+        target_density)
+      break;
+    vo.seed = util::mix64(seed, salt + phases);
+    run_phases(forest, arcs, vo, stats, [&](const Arc& a) {
+      if (in_forest) (*in_forest)[a.orig] = 1;
+    });
+    ++phases;
+  }
+  // Densification is reported apart from the theorem loops' phases.
+  stats.prepare_phases += stats.phases - phases_before;
+  stats.phases = phases_before;
+  if (phases > 0) stats.prepare_used = true;
+  return phases;
 }
 
 namespace {
@@ -137,7 +167,8 @@ VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
   std::vector<std::uint8_t> in_forest(in.num_edges(), 0);
   VanillaOptions opt;
   opt.seed = seed;
-  vanilla_sf_phases(forest, arcs, in_forest, opt, out.stats);
+  run_phases(forest, arcs, opt, out.stats,
+             [&](const Arc& a) { in_forest[a.orig] = 1; });
   for (std::uint64_t i = 0; i < in_forest.size(); ++i)
     if (in_forest[i]) out.forest_edges.push_back(i);
   return out;

@@ -1,8 +1,9 @@
 // Vanilla algorithm (§B.1) — Reif's random-vote leader contraction recast in
 // the paper's framework — and Vanilla-SF (§C.1), its spanning-forest variant.
 //
-// Used three ways: standalone O(log n) randomized baseline, the PREPARE /
-// FOREST-PREPARE densification step of Theorems 1–3, and (run to completion)
+// Used three ways: standalone O(log n) randomized baseline, the one PREPARE
+// loop (`vanilla_prepare`) that Theorem 1's PREPARE, Theorem 2's
+// FOREST-PREPARE and Theorem 3's COMPACT all call, and (run to completion)
 // part of the library's guaranteed finisher.
 #pragma once
 
@@ -34,11 +35,27 @@ std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
                              std::vector<BasicArc<V>>& arcs,
                              const VanillaOptions& opt, RunStats& stats);
 
-/// Vanilla-SF phases: additionally records, for every LINK, the original
-/// input edge that realised it (`in_forest[orig] = 1`).
-std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
-                                std::vector<std::uint8_t>& in_forest,
-                                const VanillaOptions& opt, RunStats& stats);
+/// PREPARE phase-budget sentinel, shared by Theorem1Params, CompactParams
+/// and FasterCcParams. It resolves to Θ(log log n) phases — the paper's
+/// fixed PREPARE budget (c · log_{8/7} log n). A constant-density stopping
+/// rule alone would contract high-diameter graphs all the way down and erase
+/// the log d term the experiments measure.
+inline constexpr std::uint64_t kAutoPreparePhases =
+    static_cast<std::uint64_t>(-1);
+
+/// PREPARE (§B.2), FOREST-PREPARE (§C.1) and COMPACT's densification (§D):
+/// one-phase Vanilla steps on (forest, arcs) until m0 / #ongoing reaches
+/// `target_density`, no non-loop arc remains, or `max_phases` phases ran
+/// (kAutoPreparePhases = 2 · loglog_density(n, m0) + 4). Phase p (from 0)
+/// draws its coins from mix64(seed, salt + p). With `in_forest` set it runs
+/// Vanilla-SF: every LINK marks its input edge (`(*in_forest)[orig] = 1`).
+/// The phases are counted in stats.prepare_phases, not stats.phases, and
+/// stats.prepare_used is set iff at least one ran. Returns that count.
+std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,
+                              std::uint64_t m0, double target_density,
+                              std::uint64_t max_phases, std::uint64_t seed,
+                              std::uint64_t salt, RunStats& stats,
+                              std::vector<std::uint8_t>* in_forest = nullptr);
 
 /// Standalone Vanilla connected components, at either index width
 /// (CSR-backed inputs ingest without an EdgeList).

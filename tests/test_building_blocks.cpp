@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/vanilla.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
@@ -158,6 +159,45 @@ TEST(DeterministicContractSf, ProducesValidForest) {
       if (in_forest[i]) edges.push_back(i);
     auto check = graph::validate_spanning_forest(el, edges);
     EXPECT_TRUE(check.ok) << name << ": " << check.error;
+  }
+}
+
+using logcc::testing::ThreadInvariance;
+
+// mark_ongoing must flag exactly the vertices collect_ongoing lists, and
+// count them, on the raw input and after a few Vanilla phases (when only
+// some roots are still ongoing), at every thread count.
+TEST_F(ThreadInvariance, MarkOngoingFlagsExactlyTheCollectedSet) {
+  auto corpus = logcc::testing::small_zoo();
+  corpus.emplace_back("gnm30000", graph::make_gnm(30000, 90000, 11));
+  corpus.emplace_back("rmat2^15", graph::make_rmat(15, 200000, 5));
+  corpus.emplace_back("path40000", graph::make_path(40000));
+  for (const auto& [name, el] : corpus) {
+    for (std::uint64_t phases : {0u, 3u}) {
+      ParentForest f(el.n);
+      auto arcs = arcs_from_input(el);  // self-loops stay: neither counts them
+      if (phases > 0) {
+        RunStats stats;
+        VanillaOptions opt;
+        opt.seed = 9;
+        opt.max_phases = phases;
+        vanilla_phases(f, arcs, opt, stats);
+      }
+      for (int threads : {1, 2, 4, 8}) {
+        util::set_parallelism(threads);
+        std::vector<std::uint64_t> first_seen;
+        std::vector<VertexId> ongoing;
+        collect_ongoing(f, arcs, first_seen, ongoing);
+        std::vector<std::uint8_t> expect(el.n, 0);
+        for (VertexId v : ongoing) expect[v] = 1;
+        std::vector<std::uint8_t> flags(3, 1);  // stale contents get reset
+        const std::uint64_t k = mark_ongoing(el.n, arcs, flags);
+        EXPECT_EQ(flags, expect) << name << " after " << phases
+                                 << " phases, threads=" << threads;
+        EXPECT_EQ(k, ongoing.size()) << name << " after " << phases
+                                     << " phases, threads=" << threads;
+      }
+    }
   }
 }
 

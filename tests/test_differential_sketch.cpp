@@ -164,10 +164,11 @@ TEST(DifferentialSketch, EngineSketchedViewMatchesStreamingTier) {
     EXPECT_EQ(engine.approx_component_count(),
               view->approx_component_count())
         << c.name;
-    if (c.el.n > 0)
+    if (c.el.n > 0) {
       EXPECT_EQ(engine.approx_component_size(0),
                 view->approx_component_size(0))
           << c.name;
+    }
   }
 }
 

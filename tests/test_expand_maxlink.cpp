@@ -83,7 +83,9 @@ TEST(ExpandMaxlink, PreservesComponentPartition) {
   auto labels = h.engine->forest().root_labels();
   for (std::uint64_t v = 0; v < el.n; ++v)
     for (std::uint64_t w = v + 1; w < el.n; ++w)
-      if (labels[v] == labels[w]) EXPECT_EQ(oracle[v], oracle[w]);
+      if (labels[v] == labels[w]) {
+        EXPECT_EQ(oracle[v], oracle[w]);
+      }
 }
 
 TEST(ExpandMaxlink, LevelsStayBelowSaturationPlusSlack) {
@@ -151,7 +153,9 @@ TEST(ExpandMaxlink, TraceRecordsPerRoundAggregates) {
   // Rounds are numbered consecutively; roots never increase.
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i].round, i + 1);
-    if (i > 0) EXPECT_LE(trace[i].roots, trace[i - 1].roots);
+    if (i > 0) {
+      EXPECT_LE(trace[i].roots, trace[i - 1].roots);
+    }
     EXPECT_LE(trace[i].active_roots, trace[i].roots);
   }
   // The break condition may leave distance-1 remnants (equal-level adjacent

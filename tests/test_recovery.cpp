@@ -91,8 +91,9 @@ std::uint64_t expect_recovers_to_prefix(
   EXPECT_TRUE(s.is_ok()) << s.to_string();
   if (!s.is_ok()) return 0;
   const std::uint64_t k = engine->num_batches();
-  if (want_batches >= 0)
+  if (want_batches >= 0) {
     EXPECT_EQ(k, static_cast<std::uint64_t>(want_batches));
+  }
   EXPECT_LE(k, workload().size());
   EXPECT_TRUE(*engine->snapshot() == *reference_index(k))
       << "recovered index differs from the uninterrupted engine at batch "

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -86,16 +87,6 @@ TEST(Pack, AllKeptAndNoneKept) {
   EXPECT_TRUE(none.empty());
 }
 
-TEST(Filter, MatchesPack) {
-  for (std::size_t n : probe_sizes()) {
-    auto v = ramp(n);
-    auto keep = [](std::uint64_t x) { return (x & 1) == 0; };
-    auto packed = v;
-    parallel_pack(packed, keep);
-    EXPECT_EQ(parallel_filter(v, keep), packed) << "n=" << n;
-  }
-}
-
 TEST(Reduce, SumAndMaxAcrossGrainBoundaries) {
   for (std::size_t n : probe_sizes()) {
     auto v = ramp(n);
@@ -174,9 +165,10 @@ TEST(BucketPartition, StableWithinBucketsAndTightOffsets) {
     auto v = ramp(n);
     const std::size_t buckets = 8;
     auto bucket = [](std::uint64_t x) { return x % 8; };
-    std::vector<std::uint64_t> out;
-    auto off = parallel_bucket_partition(v, out, buckets, bucket);
-    ASSERT_EQ(off.size(), buckets + 1);
+    std::vector<std::uint64_t> out(n);
+    std::vector<std::size_t> off(buckets + 1);
+    parallel_bucket_partition_into(v.data(), n, out.data(), std::span(off),
+                                   buckets, bucket);
     EXPECT_EQ(off.front(), 0u);
     EXPECT_EQ(off.back(), n);
     // Concatenating the per-bucket serial filters reproduces the output.
@@ -196,15 +188,16 @@ TEST(GroupBy, SortedStableSegments) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> v(n);
     for (std::size_t i = 0; i < n; ++i) v[i] = {mix64(3, i) % num_keys, i};
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    auto off = parallel_group_by(v, out, num_keys,
-                                 [](const auto& p) { return p.first; });
+    std::vector<std::size_t> off(num_keys + 1);
+    parallel_group_by_into(v, out, num_keys,
+                           [](const auto& p) { return p.first; },
+                           std::span(off));
     auto expect = v;
     std::stable_sort(expect.begin(), expect.end(),
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
     EXPECT_EQ(out, expect) << "n=" << n;
-    ASSERT_EQ(off.size(), num_keys + 1);
     EXPECT_EQ(off.back(), n);
     for (std::size_t k = 0; k < num_keys; ++k) {
       EXPECT_LE(off[k], off[k + 1]);
@@ -222,8 +215,9 @@ TEST(GroupBy, LargeKeySpaceTwoLevelPath) {
   std::vector<std::uint64_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = mix64(11, i) % num_keys;
   std::vector<std::uint64_t> out;
-  auto off = parallel_group_by(v, out, num_keys,
-                               [](std::uint64_t x) { return x; });
+  std::vector<std::size_t> off(num_keys + 1);
+  parallel_group_by_into(v, out, num_keys, [](std::uint64_t x) { return x; },
+                         std::span(off));
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   auto sorted = v;
   std::sort(sorted.begin(), sorted.end());

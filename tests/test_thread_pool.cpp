@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -152,7 +153,7 @@ TEST_F(ThreadInvariance, OneLaneRunsInlineWithoutWorkers) {
 struct ScanResults {
   std::uint64_t reduce = 0;
   std::vector<std::uint64_t> prefix;
-  std::vector<std::uint64_t> filtered;
+  std::vector<std::uint64_t> emitted;
   std::vector<std::uint64_t> packed;
   std::vector<std::uint64_t> histogram;
   std::vector<std::uint64_t> partitioned;
@@ -175,18 +176,25 @@ ScanResults run_all_primitives() {
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
   r.prefix = v;
   parallel_prefix_sum(r.prefix);
-  r.filtered = parallel_filter(v, [](std::uint64_t x) { return x % 3 == 0; });
+  parallel_emit(
+      n, r.emitted,
+      [&](std::size_t i) -> std::size_t { return v[i] % 3 == 0 ? 1 : 0; },
+      [&](std::size_t i, std::uint64_t* dst) { *dst = v[i]; });
   r.packed = v;
   parallel_pack(r.packed, [](std::uint64_t x) { return x % 5 != 0; });
   r.histogram = parallel_histogram(n, 64, [&](std::size_t i) {
     return static_cast<std::size_t>(v[i] % 64);
   });
-  r.partition_offsets = parallel_bucket_partition(
-      v, r.partitioned, 32,
+  r.partitioned.resize(n);
+  r.partition_offsets.resize(33);
+  parallel_bucket_partition_into(
+      v.data(), n, r.partitioned.data(), std::span(r.partition_offsets), 32,
       [](std::uint64_t x) { return static_cast<std::size_t>(x % 32); });
-  r.group_offsets = parallel_group_by(
+  r.group_offsets.resize((1 << 16) + 1);
+  parallel_group_by_into(
       v, r.grouped, 1 << 16,
-      [](std::uint64_t x) { return static_cast<std::size_t>(x); });
+      [](std::uint64_t x) { return static_cast<std::size_t>(x); },
+      std::span(r.group_offsets));
   // dedup_arcs composes partition + emit + pack over the Arc type.
   std::vector<core::Arc> arcs(n);
   for (std::size_t i = 0; i < n; ++i) {
