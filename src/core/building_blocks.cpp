@@ -305,11 +305,9 @@ LOGCC_INSTANTIATE_ARC_KERNELS(VertexId64)
 #undef LOGCC_INSTANTIATE_ARC_KERNELS
 template void dedup_arcs(std::vector<graph::Edge>&);
 
-namespace {
-
-template <typename MarkFn>
-std::uint64_t contract_impl(ParentForest& forest, std::vector<Arc>& arcs,
-                            RunStats& stats, MarkFn&& mark) {
+std::uint64_t deterministic_contract(ParentForest& forest,
+                                     std::vector<Arc>& arcs, RunStats& stats,
+                                     std::vector<std::uint8_t>* in_forest) {
   // Invariant at the top of every round: trees are flat, arcs connect roots.
   forest.flatten();
   alter(arcs, forest);
@@ -345,7 +343,10 @@ std::uint64_t contract_impl(ParentForest& forest, std::vector<Arc>& arcs,
       const VertexId target = static_cast<VertexId>(best[v] >> 32);
       if (target < v && forest.is_root(static_cast<VertexId>(v))) {
         forest.set_parent(static_cast<VertexId>(v), target);
-        mark(arcs[static_cast<std::uint32_t>(best[v])]);
+        // An arc hooks at most its larger endpoint: no two writers share a
+        // mark.
+        if (in_forest)
+          (*in_forest)[arcs[static_cast<std::uint32_t>(best[v])].orig] = 1;
       }
     });
     forest.flatten();
@@ -355,21 +356,6 @@ std::uint64_t contract_impl(ParentForest& forest, std::vector<Arc>& arcs,
     LOGCC_CHECK_MSG(rounds <= 4096, "deterministic contract diverged");
   }
   return rounds;
-}
-
-}  // namespace
-
-std::uint64_t deterministic_contract(ParentForest& forest,
-                                     std::vector<Arc>& arcs, RunStats& stats) {
-  return contract_impl(forest, arcs, stats, [](const Arc&) {});
-}
-
-std::uint64_t deterministic_contract_sf(ParentForest& forest,
-                                        std::vector<Arc>& arcs,
-                                        std::vector<std::uint8_t>& in_forest,
-                                        RunStats& stats) {
-  return contract_impl(forest, arcs, stats,
-                       [&](const Arc& a) { in_forest[a.orig] = 1; });
 }
 
 }  // namespace logcc::core

@@ -108,15 +108,11 @@ std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
 /// Boruvka-style min-label hooking + full flatten + ALTER until no non-loop
 /// arc remains. O(log n) rounds worst case, no randomness. Used when a
 /// randomized driver exhausts its round budget, and as the last stage of
-/// Theorem-3 runs. Returns the number of rounds.
-std::uint64_t deterministic_contract(ParentForest& forest,
-                                     std::vector<Arc>& arcs, RunStats& stats);
-
-/// Spanning-forest flavour: records, for every hook, the original input edge
-/// that realised it (`in_forest[orig] = 1`).
-std::uint64_t deterministic_contract_sf(ParentForest& forest,
-                                        std::vector<Arc>& arcs,
-                                        std::vector<std::uint8_t>& in_forest,
-                                        RunStats& stats);
+/// Theorem-3 runs. Returns the number of rounds. With `in_forest` set it
+/// records, for every hook, the input edge that realised it
+/// (`(*in_forest)[orig] = 1`), so it also finishes a spanning forest.
+std::uint64_t deterministic_contract(
+    ParentForest& forest, std::vector<Arc>& arcs, RunStats& stats,
+    std::vector<std::uint8_t>* in_forest = nullptr);
 
 }  // namespace logcc::core

@@ -5,6 +5,7 @@
 
 #include "core/expand.hpp"
 #include "core/round_arena.hpp"
+#include "core/spanning_forest.hpp"
 #include "core/vanilla.hpp"
 #include "core/vote.hpp"
 #include "util/arena.hpp"
@@ -35,7 +36,7 @@ Theorem1Params Theorem1Params::paper(std::uint64_t n, std::uint64_t m) {
 
 void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
                      std::uint64_t m0, const Theorem1Params& params,
-                     RunStats& stats) {
+                     RunStats& stats, std::vector<std::uint8_t>* in_forest) {
   const std::uint64_t n = forest.size();
   m0 = std::max<std::uint64_t>(m0, 1);
 
@@ -45,6 +46,9 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
                      8.0 * util::loglog_density(n, m0)) +
                  24;
   }
+  // Coin salts for EXPAND's hashes and VOTE, one pair per mode.
+  const std::uint64_t expand_salt = in_forest ? 0x5F00 : 0xE0;
+  const std::uint64_t vote_salt = in_forest ? 0x5F0E : 0x40E;
 
   // ñ update rule state (§B.5) for the pure-ARBITRARY variant.
   double n_tilde = static_cast<double>(std::max<std::uint64_t>(n, 1));
@@ -74,7 +78,7 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     const double b = std::max(2.0, std::pow(delta, params.b_exp));
 
     ExpandParams ep;
-    ep.seed = util::mix64(params.seed, 0xE0 + phase);
+    ep.seed = util::mix64(params.seed, expand_salt + phase);
     ep.table_capacity = static_cast<std::uint32_t>(
         std::clamp<double>(std::pow(delta, params.table_exp),
                            params.min_table_capacity, double(1u << 22)));
@@ -84,59 +88,64 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
                                 static_cast<std::uint64_t>(
                                     static_cast<double>(m0) / block_size));
     ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
-    ep.keep_history = false;
+    ep.keep_history = in_forest != nullptr;  // TREE-LINK consumes H_j
 
     ExpandEngine expand(n, ongoing, arcs, ep, stats, &expand_scratch);
     expand.run();
 
     VoteParams vp;
     vp.dormant_leader_prob = std::pow(b, -2.0 / 3.0);
-    vp.seed = util::mix64(params.seed, 0x40E + phase);
+    vp.seed = util::mix64(params.seed, vote_salt + phase);
     vote(expand, vp, stats, leader);
 
-    // Space in use this phase: arc processors + all tables.
-    stats.peak_space_words =
-        std::max(stats.peak_space_words,
-                 arcs.size() * 3 + static_cast<std::uint64_t>(ongoing.size()) *
-                                       ep.table_capacity);
-    stats.total_block_words +=
+    // Space in use this phase: arc processors + all tables (every round's
+    // tables when TREE-LINK keeps the history).
+    const std::uint64_t table_words =
         static_cast<std::uint64_t>(ongoing.size()) * ep.table_capacity;
+    stats.peak_space_words = std::max<std::uint64_t>(
+        stats.peak_space_words,
+        arcs.size() * 3 + table_words * (in_forest ? expand.rounds() + 2 : 1));
+    stats.total_block_words += table_words;
 
-    // LINK: non-leaders adopt a leader in their neighbour set (graph arcs
-    // plus the expanded tables). The ARBITRARY write resolution becomes a
-    // fetch-min on the leader id, so the adopted parent is the same for
-    // every thread count.
-    stats.pram_steps += 1;
-    const std::uint32_t num = expand.num_slots();
-    chosen.assign(num, graph::kInvalidVertex);
-    util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-      const Arc& a = arcs[i];
-      if (a.u == a.v) return;
-      std::uint32_t su = expand.slot_of(a.u);
-      std::uint32_t sv = expand.slot_of(a.v);
-      if (su == ExpandEngine::kNoSlot || sv == ExpandEngine::kNoSlot) return;
-      if (!leader[su] && leader[sv]) util::atomic_min(chosen[su], a.v);
-      if (!leader[sv] && leader[su]) util::atomic_min(chosen[sv], a.u);
-    });
-    // Each non-leader scans its own table — disjoint writes, no atomics.
-    util::parallel_for(0, num, [&](std::size_t s) {
-      if (leader[s]) return;
-      VertexId best = chosen[s];
-      expand.table(static_cast<std::uint32_t>(s)).for_each([&](VertexId w) {
-        std::uint32_t sw = expand.slot_of(w);
-        if (sw != ExpandEngine::kNoSlot && leader[sw] && w < best) best = w;
+    if (in_forest) {
+      tree_link(expand, leader, arcs, forest, *in_forest, stats);
+      // TREE-SHORTCUT: BFS trees have height ≤ d; flatten fully.
+      stats.pram_steps += forest.flatten();
+    } else {
+      // LINK: non-leaders adopt a leader in their neighbour set (graph arcs
+      // plus the expanded tables). The ARBITRARY write resolution becomes a
+      // fetch-min on the leader id, so the adopted parent is the same for
+      // every thread count.
+      stats.pram_steps += 1;
+      const std::uint32_t num = expand.num_slots();
+      chosen.assign(num, graph::kInvalidVertex);
+      util::parallel_for(0, arcs.size(), [&](std::size_t i) {
+        const Arc& a = arcs[i];
+        if (a.u == a.v) return;
+        std::uint32_t su = expand.slot_of(a.u);
+        std::uint32_t sv = expand.slot_of(a.v);
+        if (su == ExpandEngine::kNoSlot || sv == ExpandEngine::kNoSlot) return;
+        if (!leader[su] && leader[sv]) util::atomic_min(chosen[su], a.v);
+        if (!leader[sv] && leader[su]) util::atomic_min(chosen[sv], a.u);
       });
-      chosen[s] = best;
-    });
-    util::parallel_for(0, num, [&](std::size_t s) {
-      if (chosen[s] == graph::kInvalidVertex) return;
-      VertexId v = expand.vertex_of(static_cast<std::uint32_t>(s));
-      if (forest.is_root(v)) forest.set_parent(v, chosen[s]);
-    });
-
-    // SHORTCUT; ALTER.
-    forest.shortcut();
-    stats.pram_steps += 2;
+      // Each non-leader scans its own table — disjoint writes, no atomics.
+      util::parallel_for(0, num, [&](std::size_t s) {
+        if (leader[s]) return;
+        VertexId best = chosen[s];
+        expand.table(static_cast<std::uint32_t>(s)).for_each([&](VertexId w) {
+          std::uint32_t sw = expand.slot_of(w);
+          if (sw != ExpandEngine::kNoSlot && leader[sw] && w < best) best = w;
+        });
+        chosen[s] = best;
+      });
+      util::parallel_for(0, num, [&](std::size_t s) {
+        if (chosen[s] == graph::kInvalidVertex) return;
+        VertexId v = expand.vertex_of(static_cast<std::uint32_t>(s));
+        if (forest.is_root(v)) forest.set_parent(v, chosen[s]);
+      });
+      forest.shortcut();
+      stats.pram_steps += 2;  // SHORTCUT and the ALTER below
+    }
     alter(arcs, forest);
     drop_loops(arcs);
 
@@ -147,7 +156,7 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
   // Round budget exhausted (vanishingly rare; bench T4 quantifies): finish
   // deterministically.
   stats.finisher_used = true;
-  deterministic_contract(forest, arcs, stats);
+  deterministic_contract(forest, arcs, stats, in_forest);
 }
 
 CcResult theorem1_cc(const graph::ArcsInput& in, const Theorem1Params& params) {

@@ -58,11 +58,16 @@ struct Theorem1Params {
 CcResult theorem1_cc(const graph::ArcsInput& in,
                      const Theorem1Params& params = {});
 
-/// Phase loop only, operating in place on (forest, arcs); used by the
-/// Theorem-3 driver as its postprocessing stage. Arcs must connect roots of
-/// flat trees.
+/// The one EXPAND/VOTE phase loop, in place on (forest, arcs), ending in
+/// deterministic_contract when the phase budget runs out. Arcs must connect
+/// roots of flat trees. Theorem 1 and the Theorem-3 postprocess run it
+/// plain: LINK to a leader in the expanded neighbourhood, then SHORTCUT.
+/// With `in_forest` set it is Theorem 2's loop: EXPAND keeps its history,
+/// TREE-LINK (spanning_forest.hpp) links along input edges and marks them,
+/// and TREE-SHORTCUT flattens. Each mode draws its own coins.
 void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
                      std::uint64_t m0, const Theorem1Params& params,
-                     RunStats& stats);
+                     RunStats& stats,
+                     std::vector<std::uint8_t>* in_forest = nullptr);
 
 }  // namespace logcc::core

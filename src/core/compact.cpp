@@ -75,26 +75,26 @@ CompactResult compact(const graph::ArcsInput& in, const CompactParams& params) {
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
 
   // PREPARE: Vanilla phases until the density target or the phase budget.
+  // It leaves the ongoing roots marked; rename them via approximate
+  // compaction.
+  OngoingSet ongoing;
   vanilla_prepare(out.outer, arcs, m0, params.target_density,
-                  params.prepare_max_phases, params.seed, 0xC0DE00, out.stats);
-
-  // Rename ongoing roots via approximate compaction.
-  std::vector<std::uint8_t> ongoing_flag;
-  const std::uint64_t k = mark_ongoing(n, arcs, ongoing_flag);
+                  params.prepare_max_phases, params.seed, 0xC0DE00, out.stats,
+                  nullptr, &ongoing);
 
   out.renamed_of.assign(n, CompactResult::kInvalid);
-  if (k == 0) {
+  if (ongoing.count == 0) {
     out.n_compact = 0;
     return out;
   }
 
-  auto slots = approximate_compaction_vec(ongoing_flag, params.seed);
+  auto slots = approximate_compaction_vec(ongoing.flags, params.seed);
   LOGCC_CHECK_MSG(slots.has_value(), "approximate compaction failed");
-  out.n_compact = 2 * k;
+  out.n_compact = 2 * ongoing.count;
   out.exists.assign(out.n_compact, 0);
   out.orig_of.assign(out.n_compact, graph::kInvalidVertex);
   util::parallel_for(0, n, [&](std::size_t v) {
-    if (!ongoing_flag[v]) return;
+    if (!ongoing.flags[v]) return;
     std::uint32_t cid = (*slots)[v];
     out.renamed_of[v] = cid;
     out.exists[cid] = 1;

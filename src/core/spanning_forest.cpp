@@ -1,31 +1,24 @@
 #include "core/spanning_forest.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/expand.hpp"
 #include "core/round_arena.hpp"
 #include "core/vanilla.hpp"
-#include "core/vote.hpp"
-#include "util/arena.hpp"
-#include "util/bitutil.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/random.hpp"
 #include "util/scan.hpp"
 
 namespace logcc::core {
 
 namespace {
-
 constexpr std::uint64_t kInfDist = static_cast<std::uint64_t>(-1);
+}  // namespace
 
-/// One TREE-LINK (§C.3) given the finished EXPAND and leader flags.
-/// Writes parent links into `forest` and marks forest arcs in `in_forest`.
-/// Every step is a parallel map over slots or arcs: slot-local Q/α/β state
-/// is disjoint, the leader-neighbour marks are idempotent stores, and the
-/// link choice resolves by fetch-min on the (arc, side) key — so the forest
-/// and the marked arc set are thread-count invariant.
+// Every step is a parallel map over slots or arcs: slot-local Q/α/β state
+// is disjoint, the leader-neighbour marks are idempotent stores, and the
+// link choice resolves by fetch-min on the (arc, side) key — so the forest
+// and the marked arc set are thread-count invariant.
 void tree_link(const ExpandEngine& expand,
                const std::vector<std::uint8_t>& leader,
                const std::vector<Arc>& arcs, ParentForest& forest,
@@ -161,91 +154,24 @@ void tree_link(const ExpandEngine& expand,
   stats.pram_steps += 2;
 }
 
-}  // namespace
-
 SfResult theorem2_sf(const graph::ArcsInput& in,
                      const SpanningForestParams& params) {
   SfResult out;
   RoundArena round_arena;
   RoundArena::Scope arena_scope(round_arena);
-  const std::uint64_t n = in.num_vertices();
-  ParentForest forest(n);
+  ParentForest forest(in.num_vertices());
   std::vector<Arc> arcs = arcs_from_input(in);
   drop_loops(arcs);
   dedup_arcs(arcs);
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
   std::vector<std::uint8_t> in_forest(in.num_edges(), 0);
 
-  std::vector<std::uint64_t> seen_scratch;  // reused by every phase
-  ExpandScratch expand_scratch;             // ditto (slot map + fill buffers)
-
   // FOREST-PREPARE: Vanilla-SF densification.
   vanilla_prepare(forest, arcs, m0, params.prepare_target_density,
                   params.prepare_max_phases, params.seed, 0xF0AE57, out.stats,
                   &in_forest);
-
-  std::uint64_t max_phases = params.max_phases;
-  if (max_phases == 0) {
-    max_phases =
-        static_cast<std::uint64_t>(8.0 * util::loglog_density(n, m0)) + 24;
-  }
-
-  std::uint64_t phase = 0;
-  std::vector<VertexId> ongoing;
-  std::vector<std::uint8_t> leader;
-  while (true) {
-    util::scratch_arena_round_reset();
-    dedup_arcs(arcs);
-    drop_loops(arcs);
-    if (!has_nonloop(arcs)) break;
-    if (phase >= max_phases) {
-      out.stats.finisher_used = true;
-      deterministic_contract_sf(forest, arcs, in_forest, out.stats);
-      break;
-    }
-    ++phase;
-    ++out.stats.phases;
-
-    collect_ongoing(forest, arcs, seen_scratch, ongoing);
-    const double delta =
-        std::max(2.0, static_cast<double>(m0) /
-                          std::max<double>(1.0, static_cast<double>(ongoing.size())));
-    const double b = std::max(2.0, std::pow(delta, params.b_exp));
-
-    ExpandParams ep;
-    ep.seed = util::mix64(params.seed, 0x5F00 + phase);
-    ep.table_capacity = static_cast<std::uint32_t>(
-        std::clamp<double>(std::pow(delta, params.table_exp),
-                           params.min_table_capacity, double(1u << 22)));
-    const double block_size = std::max(4.0, std::pow(delta, params.block_exp));
-    ep.block_count = std::max<std::uint64_t>(
-        2 * ongoing.size() + 1,
-        static_cast<std::uint64_t>(static_cast<double>(m0) / block_size));
-    ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
-    ep.keep_history = true;  // TREE-LINK consumes H_j
-
-    ExpandEngine expand(n, ongoing, arcs, ep, out.stats, &expand_scratch);
-    expand.run();
-
-    VoteParams vp;
-    vp.dormant_leader_prob = std::pow(b, -2.0 / 3.0);
-    vp.seed = util::mix64(params.seed, 0x5F0E + phase);
-    vote(expand, vp, out.stats, leader);
-
-    out.stats.peak_space_words = std::max<std::uint64_t>(
-        out.stats.peak_space_words,
-        arcs.size() * 3 + static_cast<std::uint64_t>(ongoing.size()) *
-                              ep.table_capacity * (expand.rounds() + 2));
-    out.stats.total_block_words +=
-        static_cast<std::uint64_t>(ongoing.size()) * ep.table_capacity;
-
-    tree_link(expand, leader, arcs, forest, in_forest, out.stats);
-
-    // TREE-SHORTCUT: BFS trees have height ≤ d; flatten fully.
-    out.stats.pram_steps += forest.flatten();
-    alter(arcs, forest);
-    drop_loops(arcs);
-  }
+  // Theorem 1's phase loop with TREE-LINK and TREE-SHORTCUT.
+  theorem1_phases(forest, arcs, m0, params, out.stats, &in_forest);
 
   for (std::uint64_t i = 0; i < in_forest.size(); ++i)
     if (in_forest[i]) out.forest_edges.push_back(i);

@@ -3,9 +3,11 @@
 //   FOREST-PREPARE; repeat { EXPAND; VOTE; TREE-LINK; TREE-SHORTCUT; ALTER }
 //   until no edge exists other than loops.
 //
-// The connected-components phase cannot be reused verbatim because EXPAND
-// adds edges that are not in the input graph. TREE-LINK (§C.3) instead
-// computes, for every vertex u:
+// The phase loop is Theorem 1's (`theorem1_phases` with `in_forest` set);
+// only its link and shortcut steps differ. Theorem 1's LINK cannot mark a
+// forest edge, because EXPAND adds edges that are not in the input graph.
+// TREE-LINK (§C.3) is the link step instead; it computes, for every
+// vertex u:
 //   u.α — the largest radius such that B(u, α) contains no collision, no
 //         leader, and no fully dormant vertex (via the retained per-round
 //         tables H_j); and
@@ -25,6 +27,8 @@
 
 namespace logcc::core {
 
+class ExpandEngine;
+
 using SpanningForestParams = Theorem1Params;
 
 struct SfResult {
@@ -38,5 +42,13 @@ struct SfResult {
 SfResult theorem2_sf(const graph::ArcsInput& in,
                      const SpanningForestParams& params = {});
 
+/// One TREE-LINK (§C.3) given the finished EXPAND (run with keep_history)
+/// and the leader flags: writes parent links into `forest` and marks the
+/// realising input edges in `in_forest`. The link step of theorem1_phases
+/// when it runs Theorem 2.
+void tree_link(const ExpandEngine& expand,
+               const std::vector<std::uint8_t>& leader,
+               const std::vector<Arc>& arcs, ParentForest& forest,
+               std::vector<std::uint8_t>& in_forest, RunStats& stats);
 
 }  // namespace logcc::core

@@ -98,7 +98,8 @@ std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,
                               std::uint64_t m0, double target_density,
                               std::uint64_t max_phases, std::uint64_t seed,
                               std::uint64_t salt, RunStats& stats,
-                              std::vector<std::uint8_t>* in_forest) {
+                              std::vector<std::uint8_t>* in_forest,
+                              OngoingSet* ongoing) {
   if (max_phases == kAutoPreparePhases)
     max_phases = static_cast<std::uint64_t>(
                      2.0 * util::loglog_density(forest.size(), m0)) +
@@ -106,14 +107,16 @@ std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,
   const std::uint64_t phases_before = stats.phases;
   VanillaOptions vo;
   vo.max_phases = 1;
-  std::vector<std::uint8_t> ongoing;  // reused by every phase
+  OngoingSet own;  // reused by every phase
+  OngoingSet& on = ongoing ? *ongoing : own;
   std::uint64_t phases = 0;
-  while (phases < max_phases && has_nonloop(arcs)) {
+  while (true) {
     util::scratch_arena_round_reset();
-    const std::uint64_t k = mark_ongoing(forest.size(), arcs, ongoing);
-    if (static_cast<double>(m0) /
-            std::max<double>(1.0, static_cast<double>(k)) >=
-        target_density)
+    // count == 0 exactly when no non-loop arc is left.
+    on.count = mark_ongoing(forest.size(), arcs, on.flags);
+    if (on.count == 0 || phases >= max_phases ||
+        static_cast<double>(m0) / static_cast<double>(on.count) >=
+            target_density)
       break;
     vo.seed = util::mix64(seed, salt + phases);
     run_phases(forest, arcs, vo, stats, [&](const Arc& a) {

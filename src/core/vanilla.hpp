@@ -43,11 +43,20 @@ std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
 inline constexpr std::uint64_t kAutoPreparePhases =
     static_cast<std::uint64_t>(-1);
 
+/// The ongoing vertices as mark_ongoing leaves them: n byte flags and
+/// their count.
+struct OngoingSet {
+  std::vector<std::uint8_t> flags;
+  std::uint64_t count = 0;
+};
+
 /// PREPARE (§B.2), FOREST-PREPARE (§C.1) and COMPACT's densification (§D):
 /// one-phase Vanilla steps on (forest, arcs) until m0 / #ongoing reaches
 /// `target_density`, no non-loop arc remains, or `max_phases` phases ran
-/// (kAutoPreparePhases = 2 · loglog_density(n, m0) + 4). Phase p (from 0)
-/// draws its coins from mix64(seed, salt + p). With `in_forest` set it runs
+/// (kAutoPreparePhases = 2 · loglog_density(n, m0) + 4). Each iteration
+/// marks the ongoing set first, so the loop ends on a marking of the final
+/// arcs; `ongoing`, when given, receives it. Phase p (from 0) draws its
+/// coins from mix64(seed, salt + p). With `in_forest` set it runs
 /// Vanilla-SF: every LINK marks its input edge (`(*in_forest)[orig] = 1`).
 /// The phases are counted in stats.prepare_phases, not stats.phases, and
 /// stats.prepare_used is set iff at least one ran. Returns that count.
@@ -55,7 +64,8 @@ std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,
                               std::uint64_t m0, double target_density,
                               std::uint64_t max_phases, std::uint64_t seed,
                               std::uint64_t salt, RunStats& stats,
-                              std::vector<std::uint8_t>* in_forest = nullptr);
+                              std::vector<std::uint8_t>* in_forest = nullptr,
+                              OngoingSet* ongoing = nullptr);
 
 /// Standalone Vanilla connected components, at either index width
 /// (CSR-backed inputs ingest without an EdgeList).

@@ -39,42 +39,45 @@ void Machine::end_step() {
   while (i < pending_.size()) {
     std::size_t j = i;
     while (j < pending_.size() && pending_[j].addr == pending_[i].addr) ++j;
-    const std::size_t addr = pending_[i].addr;
-    if (j - i > 1) ledger_.conflicts += 1;
+    // The run [i, j) as a pointer and a count: loops indexing pending_ up
+    // to j made GCC 12 warn (-Waggressive-loop-optimizations) about an
+    // iteration past 2^64 / sizeof(PendingWrite), which cannot occur.
+    const PendingWrite* run = pending_.data() + i;
+    const std::size_t len = j - i;
+    const std::size_t addr = run->addr;
+    if (len > 1) ledger_.conflicts += 1;
     switch (policy_) {
       case WritePolicy::kArbitrary: {
         // Seeded random winner: every (seed, step, cell) picks an
         // order-independent champion among the contending processors.
-        std::size_t win = i;
+        std::size_t win = 0;
         std::uint64_t best = 0;
-        for (std::size_t k = i; k < j; ++k) {
-          std::uint64_t ticket =
-              util::mix64(step_salt ^ addr, pending_[k].proc);
-          if (k == i || ticket > best) {
+        for (std::size_t k = 0; k < len; ++k) {
+          std::uint64_t ticket = util::mix64(step_salt ^ addr, run[k].proc);
+          if (k == 0 || ticket > best) {
             best = ticket;
             win = k;
           }
         }
-        memory_[addr] = pending_[win].value;
+        memory_[addr] = run[win].value;
         break;
       }
       case WritePolicy::kPriority: {
-        std::size_t win = i;
-        for (std::size_t k = i + 1; k < j; ++k)
-          if (pending_[k].proc < pending_[win].proc) win = k;
-        memory_[addr] = pending_[win].value;
+        std::size_t win = 0;
+        for (std::size_t k = 1; k < len; ++k)
+          if (run[k].proc < run[win].proc) win = k;
+        memory_[addr] = run[win].value;
         break;
       }
       case WritePolicy::kCombineMin: {
-        Word m = pending_[i].value;
-        for (std::size_t k = i + 1; k < j; ++k)
-          m = std::min(m, pending_[k].value);
+        Word m = run[0].value;
+        for (std::size_t k = 1; k < len; ++k) m = std::min(m, run[k].value);
         memory_[addr] = m;
         break;
       }
       case WritePolicy::kCombineSum: {
         Word s = 0;
-        for (std::size_t k = i; k < j; ++k) s += pending_[k].value;
+        for (std::size_t k = 0; k < len; ++k) s += run[k].value;
         memory_[addr] = s;
         break;
       }

@@ -153,7 +153,7 @@ TEST(DeterministicContractSf, ProducesValidForest) {
     auto arcs = arcs_from_input(el);
     std::vector<std::uint8_t> in_forest(el.edges.size(), 0);
     RunStats stats;
-    deterministic_contract_sf(f, arcs, in_forest, stats);
+    deterministic_contract(f, arcs, stats, &in_forest);
     std::vector<std::uint64_t> edges;
     for (std::uint64_t i = 0; i < in_forest.size(); ++i)
       if (in_forest[i]) edges.push_back(i);

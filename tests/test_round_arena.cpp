@@ -24,16 +24,20 @@
 // functions is the one supported way to observe every heap allocation the
 // process makes (vectors, gtest internals, pool startup — everything);
 // tests below difference the counter around precisely-matched work.
+// Both forms allocate with std::malloc directly, so each operator delete's
+// std::free visibly pairs with a malloc.
 namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+void* counted_malloc(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_malloc(size); }
+void* operator new[](std::size_t size) { return counted_malloc(size); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
@@ -64,13 +66,32 @@ TEST(Theorem2, SparseUsesForestPrepare) {
 }
 
 TEST(Theorem2, ForcedFinisherStillValid) {
+  // One EXPAND/VOTE/TREE-LINK phase contracts neither graph, so the shared
+  // phase loop hands the rest to the finisher, which must mark the input
+  // edge of every hook it makes.
   SpanningForestParams p;
   p.max_phases = 1;
   p.prepare_max_phases = 0;  // no help from FOREST-PREPARE either
-  auto el = graph::make_grid(20, 20);
-  auto r = theorem2_sf(el, p);
-  EXPECT_TRUE(r.stats.finisher_used);
-  expect_valid_forest(el, r, "grid under finisher");
+  for (const auto& el : {graph::make_grid(20, 20), graph::make_path(20000)}) {
+    const std::string name = "n=" + std::to_string(el.n) + " under finisher";
+    auto r = theorem2_sf(el, p);
+    EXPECT_TRUE(r.stats.finisher_used) << name;
+    EXPECT_EQ(r.forest_edges.size(), el.n - 1) << name;
+    expect_valid_forest(el, r, name);
+  }
+}
+
+TEST(Theorem2, NTildeRuleStillValid) {
+  SpanningForestParams p;
+  p.exact_count = false;  // §B.5 update rule instead of combining count
+  int resized = 0;  // graphs whose phase sizing the rule changed
+  for (const auto& [name, el] : logcc::testing::small_zoo()) {
+    auto r = theorem2_sf(el, p);
+    expect_valid_forest(el, r, name);
+    resized += r.stats.total_block_words !=
+               theorem2_sf(el).stats.total_block_words;
+  }
+  EXPECT_GT(resized, 0);  // the phase loop honours exact_count
 }
 
 TEST(Theorem2, PhaseCountTracksTheorem1) {

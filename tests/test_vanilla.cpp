@@ -275,5 +275,62 @@ TEST(VanillaPrepare, ForestFormMarksAForestOfInputEdgesOneLinkEach) {
   }
 }
 
+// The ongoing set handed back is a fresh marking of the returned arcs on
+// every exit path, so callers need not mark again.
+TEST(VanillaPrepare, HandsBackTheOngoingSetOfItsFinalArcs) {
+  enum class Exit { kDensityMet, kBudgetSpent, kSolved, kNoBudget };
+  struct Case {
+    Exit exit;
+    graph::EdgeList el;
+    double target;
+    std::uint64_t max_phases;
+  };
+  const Case cases[] = {
+      {Exit::kDensityMet, graph::make_path(4096), 16.0, 1000},
+      {Exit::kBudgetSpent, graph::make_path(4096), 1e18, 3},
+      {Exit::kSolved, graph::make_gnm(300, 900, 2), 1e18, 1000},
+      {Exit::kNoBudget, graph::make_gnm(300, 900, 2), 1e18, 0},
+  };
+  for (const auto& c : cases) {
+    const int id = static_cast<int>(c.exit);
+    ParentForest f(c.el.n);
+    auto arcs = arcs_from_input(c.el);
+    const std::uint64_t m0 = arcs.size();
+    RunStats stats;
+    OngoingSet got;
+    got.flags.assign(3, 1);  // stale contents must not survive
+    got.count = 99;
+    const std::uint64_t ran = vanilla_prepare(
+        f, arcs, m0, c.target, c.max_phases, 3, 0xAA00, stats, nullptr, &got);
+    std::vector<std::uint8_t> fresh;
+    EXPECT_EQ(got.count, mark_ongoing(c.el.n, arcs, fresh)) << id;
+    EXPECT_EQ(got.flags, fresh) << id;
+    // The case took the exit it names.
+    switch (c.exit) {
+      case Exit::kDensityMet:
+        EXPECT_GT(ran, 0u);
+        EXPECT_LT(ran, c.max_phases);
+        EXPECT_GT(got.count, 0u);
+        EXPECT_GE(static_cast<double>(m0) / static_cast<double>(got.count),
+                  c.target);
+        break;
+      case Exit::kBudgetSpent:
+        EXPECT_EQ(ran, c.max_phases);
+        EXPECT_GT(got.count, 0u);
+        break;
+      case Exit::kSolved:
+        EXPECT_LT(ran, c.max_phases);
+        EXPECT_EQ(got.count, 0u);
+        EXPECT_FALSE(has_nonloop(arcs));
+        break;
+      case Exit::kNoBudget:
+        EXPECT_EQ(ran, 0u);
+        EXPECT_EQ(arcs.size(), m0);
+        EXPECT_GT(got.count, 0u);
+        break;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace logcc::core
