@@ -250,27 +250,6 @@ BENCHMARK(BM_DedupArcsThreaded)
     ->Args({1 << 19, 8})
     ->UseRealTime();
 
-void BM_CollectOngoingThreaded(benchmark::State& state) {
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  ThreadGuard guard(static_cast<int>(state.range(1)));
-  auto el = graph::make_gnm(n, 4 * n, 7);
-  auto arcs = core::arcs_from_input(el);
-  core::ParentForest f(n);
-  std::vector<std::uint64_t> scratch;
-  std::vector<core::VertexId> ongoing;
-  for (auto _ : state) {
-    core::collect_ongoing(f, arcs, scratch, ongoing);
-    benchmark::DoNotOptimize(ongoing.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(arcs.size()));
-}
-BENCHMARK(BM_CollectOngoingThreaded)
-    ->Args({1 << 19, 1})
-    ->Args({1 << 19, 4})
-    ->Args({1 << 19, 8})
-    ->UseRealTime();
-
 void BM_GroupByThreaded(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
@@ -305,8 +284,7 @@ void BM_ExpandRunThreaded(benchmark::State& state) {
   auto el = graph::make_gnm(n, 3 * n, 9);
   auto arcs = core::arcs_from_input(el);
   core::drop_loops(arcs);
-  std::vector<graph::VertexId> ongoing(n);
-  for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
+  const std::vector<std::uint8_t> ongoing(n, 1);
   core::ExpandParams p;
   p.block_count = 4 * n + 7;
   p.table_capacity = 8;
@@ -315,7 +293,7 @@ void BM_ExpandRunThreaded(benchmark::State& state) {
   core::ExpandScratch scratch;
   for (auto _ : state) {
     core::RunStats stats;
-    core::ExpandEngine engine(n, ongoing, arcs, p, stats, &scratch);
+    core::ExpandEngine engine(ongoing, arcs, p, stats, &scratch);
     engine.run();
     benchmark::DoNotOptimize(engine.rounds());
   }
@@ -334,22 +312,22 @@ void BM_VoteThreaded(benchmark::State& state) {
   auto el = graph::make_gnm(n, 3 * n, 15);
   auto arcs = core::arcs_from_input(el);
   core::drop_loops(arcs);
-  std::vector<graph::VertexId> ongoing(n);
-  for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
+  const std::vector<std::uint8_t> ongoing(n, 1);
   core::ExpandParams p;
   p.block_count = 4 * n + 7;
   p.table_capacity = 8;
   p.seed = 42;
   p.max_rounds = 16;
   core::RunStats stats;
-  core::ExpandEngine engine(n, ongoing, arcs, p, stats);
+  core::ExpandEngine engine(ongoing, arcs, p, stats);
   engine.run();
   core::VoteParams vp;
   vp.dormant_leader_prob = 0.3;
   vp.seed = 3;
+  std::vector<std::uint8_t> leader;
   for (auto _ : state) {
     core::RunStats s;
-    auto leader = core::vote(engine, vp, s);
+    core::vote(engine, vp, s, leader);
     benchmark::DoNotOptimize(leader.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

@@ -106,42 +106,6 @@ bool has_nonloop(const std::vector<BasicArc<V>>& arcs) {
   return found.load();
 }
 
-void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
-                     std::vector<std::uint64_t>& first_seen,
-                     std::vector<VertexId>& out) {
-  first_seen.resize(forest.size(), kUnseenIndex);
-  const std::size_t m2 = arcs.size() * 2;
-  auto endpoint = [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
-    return (j & 1) ? a.v : a.u;
-  };
-  // Fetch-min of the directed occurrence index per endpoint, then a stable
-  // segmented pack keeping each vertex at its first occurrence — the output
-  // is in first-appearance order, exactly what the serial sweep produced.
-  util::parallel_for(0, m2, [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
-    if (a.u == a.v) return;
-    util::atomic_min(first_seen[endpoint(j)],
-                     static_cast<std::uint64_t>(j));
-  });
-  util::parallel_emit(
-      m2, out,
-      [&](std::size_t j) -> std::size_t {
-        const Arc& a = arcs[j >> 1];
-        return (a.u != a.v && first_seen[endpoint(j)] == j) ? 1 : 0;
-      },
-      [&](std::size_t j, VertexId* dst) {
-        VertexId v = endpoint(j);
-        LOGCC_DCHECK(forest.is_root(v));
-        (void)forest;
-        *dst = v;
-      });
-  // Restore the scratch to all-kUnseenIndex by clearing only touched
-  // entries (every written entry appears in `out` exactly once).
-  util::parallel_for(0, out.size(),
-                     [&](std::size_t i) { first_seen[out[i]] = kUnseenIndex; });
-}
-
 std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
                            std::vector<std::uint8_t>& flags) {
   flags.assign(n, 0);

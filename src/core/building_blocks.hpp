@@ -77,30 +77,11 @@ void dedup_arcs(std::vector<A>& arcs);
 template <typename V>
 bool has_nonloop(const std::vector<BasicArc<V>>& arcs);
 
-/// Sentinel for the collect_ongoing scratch: "vertex not yet seen".
-inline constexpr std::uint64_t kUnseenIndex = static_cast<std::uint64_t>(-1);
-
-/// Distinct endpoints of non-loop arcs — the "ongoing" vertices of a phase,
-/// in first-appearance order over the directed arc sweep. All must be roots
-/// (flat trees + ALTER guarantee this; checked in debug builds).
-/// Data-parallel: a fetch-min of the directed occurrence index per endpoint
-/// followed by a stable pack keeping each vertex at its minimum occurrence,
-/// so the output is identical for every thread count (and identical to the
-/// old serial sweep). `first_seen` is caller-owned scratch the phase loop
-/// hoists: all entries must be kUnseenIndex on entry and are restored
-/// before returning (by clearing only the touched entries), so each phase
-/// costs O(m) parallel work instead of an O(n) re-`assign`. `out` is
-/// clear()ed and refilled, so a phase loop that hoists it reuses its
-/// capacity — no per-phase allocation in steady state (part of the
-/// RoundArena zero-allocation property; see core/round_arena.hpp).
-void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
-                     std::vector<std::uint64_t>& first_seen,
-                     std::vector<VertexId>& out);
-
-/// Flags the ongoing vertices — the same set collect_ongoing lists — in
-/// `flags` (resized to n, 1 = endpoint of a non-loop arc) and returns their
-/// count. Idempotent byte stores plus a reduce over n, so both the flags and
-/// the count are identical for every thread count.
+/// Flags the ongoing vertices of a phase — the endpoints of non-loop arcs
+/// — in `flags` (resized to n, 1 = ongoing) and returns their count, the
+/// paper's n'. Idempotent byte stores plus a reduce over n, so both the
+/// flags and the count are identical for every thread count. Phase loops
+/// hoist `flags`, so steady-state phases reuse its capacity.
 std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
                            std::vector<std::uint8_t>& flags);
 

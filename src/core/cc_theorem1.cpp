@@ -53,11 +53,10 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
   // ñ update rule state (§B.5) for the pure-ARBITRARY variant.
   double n_tilde = static_cast<double>(std::max<std::uint64_t>(n, 1));
 
-  std::vector<std::uint64_t> seen_scratch;  // reused by every phase
-  ExpandScratch expand_scratch;             // ditto (slot map + fill buffers)
-  // Hoisted per-phase buffers (ongoing set, leader flags, LINK choices):
+  ExpandScratch expand_scratch;  // reused by every phase (slot map + fills)
+  // Hoisted per-phase buffers (ongoing flags, leader flags, LINK choices):
   // steady-state phases reuse their capacity instead of allocating.
-  std::vector<VertexId> ongoing;
+  std::vector<std::uint8_t> ongoing;
   std::vector<std::uint8_t> leader;
   std::vector<VertexId> chosen;
   std::uint64_t phase = 0;
@@ -65,14 +64,14 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     util::scratch_arena_round_reset();
     dedup_arcs(arcs);
     drop_loops(arcs);
-    if (!has_nonloop(arcs)) return;
+    const std::uint64_t num_ongoing = mark_ongoing(n, arcs, ongoing);
+    if (num_ongoing == 0) return;
     if (phase >= max_phases) break;  // to finisher
     ++phase;
     ++stats.phases;
 
-    collect_ongoing(forest, arcs, seen_scratch, ongoing);
     const double n_prime = params.exact_count
-                               ? static_cast<double>(ongoing.size())
+                               ? static_cast<double>(num_ongoing)
                                : std::max(1.0, n_tilde);
     const double delta = std::max(2.0, static_cast<double>(m0) / n_prime);
     const double b = std::max(2.0, std::pow(delta, params.b_exp));
@@ -84,13 +83,13 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
                            params.min_table_capacity, double(1u << 22)));
     const double block_size = std::max(4.0, std::pow(delta, params.block_exp));
     ep.block_count =
-        std::max<std::uint64_t>(2 * ongoing.size() + 1,
+        std::max<std::uint64_t>(2 * num_ongoing + 1,
                                 static_cast<std::uint64_t>(
                                     static_cast<double>(m0) / block_size));
     ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
     ep.keep_history = in_forest != nullptr;  // TREE-LINK consumes H_j
 
-    ExpandEngine expand(n, ongoing, arcs, ep, stats, &expand_scratch);
+    ExpandEngine expand(ongoing, arcs, ep, stats, &expand_scratch);
     expand.run();
 
     VoteParams vp;
@@ -100,8 +99,7 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
 
     // Space in use this phase: arc processors + all tables (every round's
     // tables when TREE-LINK keeps the history).
-    const std::uint64_t table_words =
-        static_cast<std::uint64_t>(ongoing.size()) * ep.table_capacity;
+    const std::uint64_t table_words = num_ongoing * ep.table_capacity;
     stats.peak_space_words = std::max<std::uint64_t>(
         stats.peak_space_words,
         arcs.size() * 3 + table_words * (in_forest ? expand.rounds() + 2 : 1));

@@ -1,7 +1,6 @@
 #include "core/expand.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/arena.hpp"
 #include "util/check.hpp"
@@ -13,7 +12,7 @@ namespace logcc::core {
 namespace {
 
 /// Buckets for the occupancy partition: a pure function of the slot count
-/// (only called for n >= kSerialGrain, so >= 2 keeps the key shift < 64).
+/// (at least 2, which keeps the key shift < 64).
 std::size_t occupancy_bucket_count(std::size_t n) {
   std::size_t buckets = 2;
   while (buckets < 256 && buckets * util::kSerialGrain < n) buckets <<= 1;
@@ -22,13 +21,11 @@ std::size_t occupancy_bucket_count(std::size_t n) {
 
 }  // namespace
 
-ExpandEngine::ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
+ExpandEngine::ExpandEngine(std::span<const std::uint8_t> ongoing,
                            std::span<const Arc> arcs,
                            const ExpandParams& params, RunStats& stats,
                            ExpandScratch* scratch)
-    : n_(n),
-      ongoing_(ongoing.begin(), ongoing.end()),
-      arcs_(arcs),
+    : arcs_(arcs),
       params_(params),
       stats_(stats),
       hb_(util::PairwiseHash::from_seed(params.seed, 0xb10c)),
@@ -36,24 +33,21 @@ ExpandEngine::ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
       scratch_(scratch ? scratch : &own_scratch_) {
   LOGCC_CHECK(params_.block_count >= 1);
   LOGCC_CHECK(params_.table_capacity >= 2);
-  const std::uint32_t num = num_slots();
-  // The hoisted slot map holds kNoSlot everywhere except the previous
-  // engine's ongoing set, which its destructor reset — only fresh entries
-  // need initialising.
+  // Slots number the flagged vertices in ascending order: a stable pack of
+  // the flags, then the inverse map rebuilt over all n (SHORTCUT already
+  // costs O(n) per phase, so nothing is saved by patching the old one).
+  const std::size_t n = ongoing.size();
+  auto& vertex_of = scratch_->vertex_of;
   auto& slot_of = scratch_->slot_of;
-  const std::size_t old_size = slot_of.size();
-  if (old_size < n_) slot_of.resize(n_);
-  util::parallel_for(old_size, n_,
-                     [&](std::size_t v) { slot_of[v] = kNoSlot; });
+  util::parallel_emit(
+      n, vertex_of,
+      [&](std::size_t v) -> std::size_t { return ongoing[v] != 0; },
+      [](std::size_t v, VertexId* dst) { *dst = static_cast<VertexId>(v); });
+  slot_of.resize(n);
+  util::parallel_for(0, n, [&](std::size_t v) { slot_of[v] = kNoSlot; });
+  const std::uint32_t num = num_slots();
   util::parallel_for(0, num, [&](std::size_t s) {
-    LOGCC_CHECK(ongoing_[s] < n_);
-    // Concurrent writers disagree only on duplicate ids, which the
-    // verification pass below turns into a deterministic failure.
-    util::relaxed_store(slot_of[ongoing_[s]],
-                        static_cast<std::uint32_t>(s));
-  });
-  util::parallel_for(0, num, [&](std::size_t s) {
-    LOGCC_CHECK_MSG(slot_of[ongoing_[s]] == s, "duplicate ongoing id");
+    slot_of[vertex_of[s]] = static_cast<std::uint32_t>(s);
   });
   // Tables live in the scratch's contiguous slab: epoch-reset is O(num)
   // bookkeeping (no per-cell zeroing, no per-table vectors), and across
@@ -66,12 +60,6 @@ ExpandEngine::ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
     scratch_->dormant_round[s] = kNeverDormant;
   });
   scratch_->collisions.resize(num);
-}
-
-ExpandEngine::~ExpandEngine() {
-  auto& slot_of = scratch_->slot_of;
-  util::parallel_for(0, ongoing_.size(),
-                     [&](std::size_t s) { slot_of[ongoing_[s]] = kNoSlot; });
 }
 
 void ExpandEngine::mark_dormant(std::uint32_t slot, std::uint32_t round) {
@@ -91,30 +79,18 @@ void ExpandEngine::assign_blocks() {
   // h_B maps each ongoing vertex to a block; owning = unique occupant
   // (detected CRCW-style: write your id, re-read, then a second pass where
   // losers invalidate the cell — host-side we count occupants per key).
-  // Both paths compute the same "occupancy == 1" predicate; the path choice
-  // keys on size only, so results never depend on the thread count.
   const std::uint32_t num = num_slots();
+  const auto& vertex_of = scratch_->vertex_of;
   auto& owns_block = scratch_->owns_block;
   auto& dormant_round = scratch_->dormant_round;
-  if (num < util::kSerialGrain) {
-    std::unordered_map<std::uint64_t, std::uint32_t> occupancy;
-    occupancy.reserve(num * 2);
-    for (VertexId v : ongoing_) ++occupancy[hb_(v, params_.block_count)];
-    for (std::uint32_t s = 0; s < num; ++s) {
-      owns_block[s] = occupancy[hb_(ongoing_[s], params_.block_count)] == 1;
-      if (!owns_block[s]) mark_dormant(s, 0);
-    }
-    stats_.pram_steps += 2;
-    return;
-  }
-  // Parallel occupancy: stable bucket partition of (block key, slot) pairs
-  // by mixed key bits, then a per-bucket sort + run scan. Every slot
-  // appears exactly once, so the owner writes are disjoint.
+  // Occupancy: stable bucket partition of (block key, slot) pairs by mixed
+  // key bits, then a per-bucket sort + run scan. Every slot appears exactly
+  // once, so the owner writes are disjoint.
   auto& keys = scratch_->block_keys;
   auto& scattered = scratch_->block_keys_tmp;
   keys.resize(num);
   util::parallel_for(0, num, [&](std::size_t s) {
-    keys[s] = {hb_(ongoing_[s], params_.block_count),
+    keys[s] = {hb_(vertex_of[s], params_.block_count),
                static_cast<std::uint32_t>(s)};
   });
   const std::size_t buckets = occupancy_bucket_count(num);
@@ -204,7 +180,7 @@ void ExpandEngine::seed_tables() {
         ++coll[s];
     }
     // Isolated block owner still holds itself.
-    const VertexId v = ongoing_[s];
+    const VertexId v = scratch_->vertex_of[s];
     if (tables.insert_at(t, static_cast<std::uint32_t>(hv_(v, cap)), v) ==
         TableSlab::Insert::kCollision)
       ++coll[s];
@@ -221,9 +197,10 @@ void ExpandEngine::snapshot_history() {
   if (!params_.keep_history) return;
   history_.emplace_back();
   auto& snap = history_.back();
-  snap.resize(ongoing_.size());
+  const std::uint32_t num = num_slots();
+  snap.resize(num);
   const TableSlab& tables = scratch_->tables;
-  util::parallel_for(0, ongoing_.size(), [&](std::size_t s) {
+  util::parallel_for(0, num, [&](std::size_t s) {
     auto& items = snap[s];
     items.clear();
     items.reserve(tables.count(static_cast<std::uint32_t>(s)));

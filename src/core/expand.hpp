@@ -2,6 +2,9 @@
 // per-vertex hash tables.
 //
 // Mechanics per phase:
+//   0. the ongoing vertices (mark_ongoing's byte flags) take slots in
+//      ascending vertex order; every per-slot array below is indexed by
+//      slot, and every decision keys on the vertex id, never on the slot;
 //   1. ongoing vertices are hashed to blocks via h_B; a vertex that is not
 //      the unique occupant of its block is *fully dormant*;
 //   2. each block owner u gets a hash table H(u); round 0 hashes u and its
@@ -46,13 +49,13 @@ struct ExpandParams {
 };
 
 /// Caller-hoisted scratch for the engine's parallel kernels. Phase loops
-/// construct one ExpandEngine per phase; hoisting the scratch (like the
-/// collect_ongoing scratch) avoids re-allocating the O(n) slot map, the
-/// bucket-partition buffers, the table slab and the doubling-round state
-/// every phase. `slot_of` must be all-kNoSlot on entry; the engine restores
-/// it (touched entries only) on destruction.
+/// construct one ExpandEngine per phase; hoisting the scratch avoids
+/// re-allocating the O(n) slot map, the bucket-partition buffers, the table
+/// slab and the doubling-round state every phase. Every engine rebuilds
+/// the slot map over all n, so no state carries over between engines.
 struct ExpandScratch {
   std::vector<std::uint32_t> slot_of;  // n entries, kNoSlot except ongoing
+  std::vector<VertexId> vertex_of;     // ongoing vertices, ascending
   std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys_tmp;
   std::vector<std::pair<std::uint32_t, VertexId>> fill_items;
@@ -72,14 +75,15 @@ class ExpandEngine {
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
   static constexpr std::uint32_t kNeverDormant = static_cast<std::uint32_t>(-1);
 
-  /// `ongoing` lists the roots participating this phase; `arcs` are the
-  /// current (altered) arcs — only those whose both endpoints are ongoing
-  /// are used. `scratch`, when given, must outlive the engine and not be
-  /// shared with a concurrently-live engine.
-  ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
+  /// `ongoing` flags the roots participating this phase, one byte per
+  /// vertex (mark_ongoing's flags; n = ongoing.size()); they take slots in
+  /// ascending vertex order. `arcs` are the current (altered) arcs — only
+  /// those whose both endpoints are ongoing are used. `scratch`, when
+  /// given, must outlive the engine and not be shared with a
+  /// concurrently-live engine.
+  ExpandEngine(std::span<const std::uint8_t> ongoing,
                std::span<const Arc> arcs, const ExpandParams& params,
                RunStats& stats, ExpandScratch* scratch = nullptr);
-  ~ExpandEngine();
   ExpandEngine(const ExpandEngine&) = delete;
   ExpandEngine& operator=(const ExpandEngine&) = delete;
 
@@ -87,10 +91,12 @@ class ExpandEngine {
   void run();
 
   std::uint32_t num_slots() const {
-    return static_cast<std::uint32_t>(ongoing_.size());
+    return static_cast<std::uint32_t>(scratch_->vertex_of.size());
   }
   std::uint32_t slot_of(VertexId v) const { return scratch_->slot_of[v]; }
-  VertexId vertex_of(std::uint32_t slot) const { return ongoing_[slot]; }
+  VertexId vertex_of(std::uint32_t slot) const {
+    return scratch_->vertex_of[slot];
+  }
 
   bool owns_block(std::uint32_t slot) const {
     return scratch_->owns_block[slot] != 0;
@@ -133,8 +139,6 @@ class ExpandEngine {
   void snapshot_history();
   void flush_collisions();  // scratch tallies -> stats_.hash_collisions
 
-  std::uint64_t n_;
-  std::vector<VertexId> ongoing_;
   std::span<const Arc> arcs_;
   ExpandParams params_;
   RunStats& stats_;

@@ -195,8 +195,7 @@ CcResult64 faster_cc(const graph::ArcsInput64& in, const FasterCcParams& params,
   std::vector<VertexId> narrow_labels;
   if (!contracted.edges.empty()) {
     CcResult fin = faster_cc(contracted, params);
-    out.stats.phases += fin.stats.phases;
-    out.stats.pram_steps += fin.stats.pram_steps;
+    out.stats.absorb(fin.stats);
     narrow_labels = std::move(fin.labels);
   }
 

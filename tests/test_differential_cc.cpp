@@ -290,5 +290,25 @@ TEST_F(DifferentialCc, ForcedWideBridgeKeepsPartitionAcrossSeedSweep) {
   }
 }
 
+TEST_F(DifferentialCc, ForcedWideBridgeReportsTheNarrowRunsCounters) {
+  // The contract-then-delegate branch finishes on the narrow faster_cc, so
+  // the caller must see that run's counters whole (EXPAND-MAXLINK rounds,
+  // PREPARE phases, peak space, levels), not only its phases and steps.
+  const graph::EdgeList el = graph::make_family("gnm8", 20000, 5);
+  graph::EdgeList64 wide_el;
+  wide_el.n = el.n;
+  for (const graph::Edge& e : el.edges) wide_el.add(e.u, e.v);
+  core::FasterCcParams params;
+  params.seed = 5;
+  const auto wb =
+      core::faster_cc(wide_el, params, /*narrow_threshold=*/el.edges.size() / 2);
+  EXPECT_EQ(graph::canonical_labels(wb.labels),
+            baselines::union_find_cc(wide_el).labels);
+  EXPECT_GT(wb.stats.rounds, 0u);
+  EXPECT_GT(wb.stats.prepare_phases, 0u);
+  EXPECT_GT(wb.stats.peak_space_words, 0u);
+  EXPECT_GT(wb.stats.max_level, 0u);
+}
+
 }  // namespace
 }  // namespace logcc

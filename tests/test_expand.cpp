@@ -11,6 +11,7 @@
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
 #include "util/parallel.hpp"
+#include "util/random.hpp"
 
 namespace logcc::core {
 namespace {
@@ -18,16 +19,14 @@ namespace {
 /// Expands a whole input graph with generous parameters (everything ongoing).
 struct Harness {
   explicit Harness(const graph::EdgeList& el, ExpandParams p, RunStats* stats)
-      : arcs(arcs_from_input(el)), params(p) {
+      : arcs(arcs_from_input(el)), ongoing(el.n, 1), params(p) {
     drop_loops(arcs);
-    for (std::uint64_t v = 0; v < el.n; ++v)
-      ongoing.push_back(static_cast<VertexId>(v));
-    engine = std::make_unique<ExpandEngine>(el.n, ongoing, arcs, params,
+    engine = std::make_unique<ExpandEngine>(ongoing, arcs, params,
                                             stats ? *stats : local_stats);
     engine->run();
   }
   std::vector<Arc> arcs;
-  std::vector<VertexId> ongoing;
+  std::vector<std::uint8_t> ongoing;
   ExpandParams params;
   RunStats local_stats;
   std::unique_ptr<ExpandEngine> engine;
@@ -169,33 +168,67 @@ TEST(ExpandDeath, HistoryRequiresFlag) {
 }
 
 TEST(Expand, HoistedScratchReusableAcrossEngines) {
-  // Phase loops reuse one ExpandScratch across engines; the slot map must
-  // come back all-kNoSlot after each engine dies, so a second engine over a
-  // different ongoing set sees clean state.
+  // Phase loops reuse one ExpandScratch across engines; a second engine
+  // over a different ongoing set must see none of the first one's slots.
   auto el = graph::make_gnm(256, 768, 3);
   ExpandParams p = generous(el.n);
   ExpandScratch scratch;
   RunStats stats;
   auto arcs = arcs_from_input(el);
   drop_loops(arcs);
-  std::vector<VertexId> evens, odds;
-  for (VertexId v = 0; v < el.n; v += 2) evens.push_back(v);
-  for (VertexId v = 1; v < el.n; v += 2) odds.push_back(v);
-  {
-    ExpandEngine e1(el.n, evens, arcs, p, stats, &scratch);
-    e1.run();
-    for (VertexId v : evens) EXPECT_EQ(e1.slot_of(v), v / 2);
-  }
-  ExpandEngine e2(el.n, odds, arcs, p, stats, &scratch);
+  std::vector<std::uint8_t> evens(el.n), odds(el.n);
+  for (VertexId v = 0; v < el.n; ++v) (v % 2 ? odds : evens)[v] = 1;
+  ExpandEngine e1(evens, arcs, p, stats, &scratch);
+  e1.run();
+  for (VertexId v = 0; v < el.n; v += 2) EXPECT_EQ(e1.slot_of(v), v / 2);
+  ExpandEngine e2(odds, arcs, p, stats, &scratch);
   e2.run();
-  for (VertexId v : odds) EXPECT_EQ(e2.slot_of(v), v / 2);
-  for (VertexId v : evens) EXPECT_EQ(e2.slot_of(v), ExpandEngine::kNoSlot);
+  EXPECT_EQ(e2.num_slots(), el.n / 2);
+  for (VertexId v = 0; v < el.n; ++v)
+    EXPECT_EQ(e2.slot_of(v), v % 2 ? v / 2 : ExpandEngine::kNoSlot) << v;
+}
+
+using logcc::testing::ThreadInvariance;
+
+TEST_F(ThreadInvariance, SlotsAscendAndInvertTheVertexMap) {
+  // Slots number the flagged vertices in ascending id order, and slot_of /
+  // vertex_of are inverse maps: on the flagged set both ways, kNoSlot off
+  // it. Large enough that the pack and the rebuild run in parallel.
+  const std::uint64_t n = 20000;
+  auto el = graph::make_gnm(n, 3 * n, 17);
+  auto arcs = arcs_from_input(el);
+  drop_loops(arcs);
+  std::vector<std::uint8_t> flags(n);
+  for (VertexId v = 0; v < n; ++v) flags[v] = util::mix64(5, v) % 3 != 0;
+  ExpandParams p;
+  p.block_count = 4 * n + 7;
+  p.table_capacity = 8;
+  ExpandScratch scratch;
+  for (int threads : {1, 4}) {
+    util::set_parallelism(threads);
+    RunStats stats;
+    ExpandEngine e(flags, arcs, p, stats, &scratch);
+    const std::uint32_t num = e.num_slots();
+    EXPECT_EQ(num, static_cast<std::uint32_t>(
+                       std::count(flags.begin(), flags.end(), 1)));
+    for (std::uint32_t s = 0; s < num; ++s) {
+      const VertexId v = e.vertex_of(s);
+      ASSERT_TRUE(flags[v]) << "slot " << s;
+      ASSERT_EQ(e.slot_of(v), s);
+      if (s > 0) {
+        ASSERT_LT(e.vertex_of(s - 1), v) << "slot " << s;
+      }
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if (!flags[v]) {
+        ASSERT_EQ(e.slot_of(v), ExpandEngine::kNoSlot) << v;
+      }
+    }
+  }
 }
 
 // ---- Determinism contract: tables, dormancy and stats are bit-identical
 // for every thread count (mirrors tests/test_scan.cpp).
-
-using logcc::testing::ThreadInvariance;
 
 struct ExpandOutcome {
   std::vector<std::vector<VertexId>> cells;

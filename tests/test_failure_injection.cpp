@@ -59,11 +59,10 @@ TEST(FailureInjection, ExpandWithCapacityTwoTables) {
   p.table_capacity = 2;
   p.seed = 1;
   p.max_rounds = 8;
-  std::vector<graph::VertexId> ongoing;
-  for (graph::VertexId v = 0; v < el.n; ++v) ongoing.push_back(v);
+  const std::vector<std::uint8_t> ongoing(el.n, 1);
   auto arcs = core::arcs_from_input(el);
   core::RunStats stats;
-  core::ExpandEngine engine(el.n, ongoing, arcs, p, stats);
+  core::ExpandEngine engine(ongoing, arcs, p, stats);
   engine.run();
   for (std::uint32_t s = 0; s < engine.num_slots(); ++s)
     EXPECT_LE(engine.table(s).count(), 2u);

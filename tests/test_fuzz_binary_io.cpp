@@ -5,10 +5,9 @@
 // tag and count fields, bit flips across the offsets and adjacency arrays,
 // truncations at every structural boundary, trailing garbage, and a few
 // degenerate files. Every mutant must be *cleanly rejected* — by
-// BinaryGraph::open + validate_csr, by load_dataset, and by
-// load_dataset_zero_copy — never crash, never hand back a graph. (Under
-// ASan/UBSan in CI this doubles as a memory-safety harness for the
-// header/envelope/structure validators.)
+// BinaryGraph::open + validate_csr and by load_dataset_zero_copy — never
+// crash, never hand back a graph. (Under ASan/UBSan in CI this doubles as a
+// memory-safety harness for the header/envelope/structure validators.)
 //
 // The corpus is seeded (util::mix64), so a failure names a reproducible
 // entry. The base graph is simple (canonicalized), which makes every
@@ -189,8 +188,6 @@ TEST_F(FuzzBinaryLoader, MultiplicityAsymmetricFileIsRejected) {
   EXPECT_FALSE(graph::validate_csr(bg.view(), &error));
   graph::DatasetHandle handle;
   EXPECT_FALSE(graph::load_dataset_zero_copy(mutant_path_, handle, &error));
-  graph::EdgeList el;
-  EXPECT_FALSE(graph::load_dataset(mutant_path_, el, nullptr, &error));
 }
 
 TEST_F(FuzzBinaryLoader, EveryMutantIsCleanlyRejectedByEveryLoadPath) {
@@ -209,20 +206,14 @@ TEST_F(FuzzBinaryLoader, EveryMutantIsCleanlyRejectedByEveryLoadPath) {
       EXPECT_FALSE(error.empty()) << m.name;
     }
 
-    // load_dataset (materializing) — a mutated magic demotes the file to
-    // the text parser, which must also reject the binary junk.
-    graph::EdgeList el;
-    error.clear();
-    EXPECT_FALSE(graph::load_dataset(mutant_path_, el, nullptr, &error))
-        << m.name << ": load_dataset returned a graph from a corrupt file";
-    EXPECT_FALSE(error.empty()) << m.name;
-
-    // Zero-copy path.
+    // Dataset loader — a mutated magic demotes the file to the text
+    // parser, which must also reject the binary junk.
     graph::DatasetHandle handle;
     error.clear();
     EXPECT_FALSE(graph::load_dataset_zero_copy(mutant_path_, handle, &error))
         << m.name
         << ": load_dataset_zero_copy returned a graph from a corrupt file";
+    EXPECT_FALSE(error.empty()) << m.name;
   }
 }
 
@@ -345,17 +336,12 @@ TEST_F(FuzzBinaryLoaderV2, EveryMutantIsCleanlyRejectedByEveryLoadPath) {
       EXPECT_FALSE(error.empty()) << m.name;
     }
 
-    graph::EdgeList el;
-    error.clear();
-    EXPECT_FALSE(graph::load_dataset(mutant_path_, el, nullptr, &error))
-        << m.name << ": load_dataset returned a graph from a corrupt file";
-    EXPECT_FALSE(error.empty()) << m.name;
-
     graph::DatasetHandle handle;
     error.clear();
     EXPECT_FALSE(graph::load_dataset_zero_copy(mutant_path_, handle, &error))
         << m.name
         << ": load_dataset_zero_copy returned a graph from a corrupt file";
+    EXPECT_FALSE(error.empty()) << m.name;
   }
 }
 

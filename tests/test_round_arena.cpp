@@ -193,8 +193,7 @@ TEST_F(ThreadInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
   auto el = graph::make_gnm(n, 3 * n, 9);
   auto arcs = arcs_from_input(el);
   drop_loops(arcs);
-  std::vector<graph::VertexId> ongoing(n);
-  for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
+  const std::vector<std::uint8_t> ongoing(n, 1);
   ExpandParams p;
   p.block_count = 4 * n + 7;
   p.table_capacity = 8;
@@ -208,7 +207,7 @@ TEST_F(ThreadInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
     util::scratch_arena_round_reset();
     const std::uint64_t before = g_new_calls.load();
     RunStats stats;
-    ExpandEngine engine(n, ongoing, arcs, p, stats, &scratch);
+    ExpandEngine engine(ongoing, arcs, p, stats, &scratch);
     engine.run();
     return g_new_calls.load() - before;
   };

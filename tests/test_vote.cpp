@@ -13,16 +13,14 @@ namespace logcc::core {
 namespace {
 
 struct VoteHarness {
-  VoteHarness(const graph::EdgeList& el, ExpandParams p) {
-    arcs = arcs_from_input(el);
+  VoteHarness(const graph::EdgeList& el, ExpandParams p)
+      : arcs(arcs_from_input(el)), ongoing(el.n, 1) {
     drop_loops(arcs);
-    for (std::uint64_t v = 0; v < el.n; ++v)
-      ongoing.push_back(static_cast<VertexId>(v));
-    engine = std::make_unique<ExpandEngine>(el.n, ongoing, arcs, p, stats);
+    engine = std::make_unique<ExpandEngine>(ongoing, arcs, p, stats);
     engine->run();
   }
   std::vector<Arc> arcs;
-  std::vector<VertexId> ongoing;
+  std::vector<std::uint8_t> ongoing;
   RunStats stats;
   std::unique_ptr<ExpandEngine> engine;
 };
@@ -43,7 +41,8 @@ TEST(Vote, LiveComponentsElectExactlyTheMinId) {
   vp.dormant_leader_prob = 0.5;
   vp.seed = 3;
   RunStats stats;
-  auto leader = vote(*h.engine, vp, stats);
+  std::vector<std::uint8_t> leader;
+  vote(*h.engine, vp, stats, leader);
   // All vertices are live here; leaders must be vertex 0 (first path) and
   // vertex 9 (min of the cycle's id range), nothing else.
   for (std::uint32_t s = 0; s < h.engine->num_slots(); ++s) {
@@ -62,7 +61,8 @@ TEST(Vote, DormantLeaderRateMatchesProbability) {
   vp.dormant_leader_prob = 0.25;
   vp.seed = 99;
   RunStats stats;
-  auto leader = vote(*h.engine, vp, stats);
+  std::vector<std::uint8_t> leader;
+  vote(*h.engine, vp, stats, leader);
   double rate =
       static_cast<double>(std::count(leader.begin(), leader.end(), 1)) /
       static_cast<double>(leader.size());
@@ -78,7 +78,8 @@ TEST(Vote, DormantZeroProbabilityElectsNobody) {
   vp.dormant_leader_prob = 0.0;
   vp.seed = 5;
   RunStats stats;
-  auto leader = vote(*h.engine, vp, stats);
+  std::vector<std::uint8_t> leader;
+  vote(*h.engine, vp, stats, leader);
   EXPECT_EQ(std::count(leader.begin(), leader.end(), 1), 0);
 }
 
@@ -91,7 +92,10 @@ TEST(Vote, DeterministicForSeed) {
   vp.dormant_leader_prob = 0.3;
   vp.seed = 42;
   RunStats s1, s2;
-  EXPECT_EQ(vote(*h.engine, vp, s1), vote(*h.engine, vp, s2));
+  std::vector<std::uint8_t> l1, l2;
+  vote(*h.engine, vp, s1, l1);
+  vote(*h.engine, vp, s2, l2);
+  EXPECT_EQ(l1, l2);
 }
 
 // ---- Determinism contract: the fused map + min vote pass yields the same
@@ -115,11 +119,14 @@ TEST_F(ThreadInvariance, LeaderVectorIdenticalAcrossThreads) {
   vp.seed = 71;
   util::set_parallelism(1);
   RunStats s1;
-  auto one = vote(*h.engine, vp, s1);
+  std::vector<std::uint8_t> one;
+  vote(*h.engine, vp, s1, one);
   for (int threads : {2, 8}) {
     util::set_parallelism(threads);
     RunStats sn;
-    EXPECT_EQ(one, vote(*h.engine, vp, sn)) << "threads=" << threads;
+    std::vector<std::uint8_t> many(3, 1);  // stale contents get overwritten
+    vote(*h.engine, vp, sn, many);
+    EXPECT_EQ(one, many) << "threads=" << threads;
   }
 }
 

@@ -237,9 +237,12 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
   fp.seed = 5;
   const auto wf = core::faster_cc(wide_in, fp);
 
-  // Narrow reference: same file's graph, materialized.
+  // Narrow reference: the file's canonical edge order, narrowed.
+  const graph::EdgeList64 canon = graph::edge_list_from_csr(wide_in.csr());
   graph::EdgeList el;
-  ASSERT_TRUE(graph::load_dataset(path, el, nullptr, &error)) << error;
+  el.n = canon.n;
+  for (const graph::Edge64& e : canon.edges)
+    el.add(static_cast<graph::VertexId>(e.u), static_cast<graph::VertexId>(e.v));
   const auto nv = core::vanilla_cc(el, 5);
   ASSERT_EQ(wv.labels.size(), nv.labels.size());
   for (std::size_t v = 0; v < nv.labels.size(); ++v)
@@ -248,24 +251,6 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
   // All three agree up to canonical form.
   EXPECT_EQ(graph::canonical_labels(wv.labels), wu.labels);
   EXPECT_EQ(graph::canonical_labels(wf.labels), wu.labels);
-  std::remove(path.c_str());
-}
-
-TEST(WideIndex, LoadDatasetDownconvertsFittingWideFiles) {
-  // A LOGCCSR2 file whose graph fits uint32 materializes on the narrow
-  // path (load_dataset) with the canonical edge order.
-  const std::string path = ::testing::TempDir() + "/wide_fits.logccsr";
-  graph::EdgeList el = graph::make_family("grid", 300, 1);
-  graph::EdgeList64 wide_el;
-  wide_el.n = el.n;
-  for (const graph::Edge& e : el.edges) wide_el.add(e.u, e.v);
-  std::string error;
-  ASSERT_TRUE(graph::write_binary_csr(path, wide_el, &error)) << error;
-
-  graph::EdgeList back;
-  ASSERT_TRUE(graph::load_dataset(path, back, nullptr, &error)) << error;
-  EXPECT_EQ(back.n, el.n);
-  EXPECT_EQ(back.edges.size(), el.edges.size());
   std::remove(path.c_str());
 }
 
