@@ -21,7 +21,6 @@
 #include "core/compact.hpp"
 #include "core/expand.hpp"
 #include "core/expand_maxlink.hpp"
-#include "core/hash_table.hpp"
 #include "core/labels.hpp"
 #include "core/vote.hpp"
 #include "graph/binary_io.hpp"
@@ -68,32 +67,17 @@ BENCHMARK(BM_PairwiseHash);
 void BM_TableInsert(benchmark::State& state) {
   const std::uint32_t cap = static_cast<std::uint32_t>(state.range(0));
   auto h = util::PairwiseHash::from_seed(7);
-  core::VertexTable t(cap);
+  core::TableSlab t;
+  t.reset_uniform(1, cap);
   std::uint32_t v = 0;
   for (auto _ : state) {
-    if (v % cap == 0) t.reset(cap);
-    t.insert_at(static_cast<std::uint32_t>(h(v, cap)), v);
+    if (v % cap == 0) t.reset_uniform(1, cap);
+    t.insert_at(0, static_cast<std::uint32_t>(h(v, cap)), v);
     ++v;
   }
-  benchmark::DoNotOptimize(t.count());
+  benchmark::DoNotOptimize(t.count(0));
 }
 BENCHMARK(BM_TableInsert)->Arg(64)->Arg(4096);
-
-void BM_VertexTableReset(benchmark::State& state) {
-  // Arg 0: reset at the SAME capacity — a generation-stamp bump, O(1) in
-  // the table size. Arg 1: alternating capacities — the full re-assign
-  // path every call. The gap is the win of the epoch reset.
-  const std::uint32_t cap = 1 << 16;
-  const bool alternate = state.range(0) != 0;
-  core::VertexTable t(cap);
-  std::uint32_t flip = 0;
-  for (auto _ : state) {
-    t.reset(alternate && (++flip & 1) ? cap + 1 : cap);
-    benchmark::DoNotOptimize(t.capacity());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VertexTableReset)->Arg(0)->Arg(1);
 
 void BM_TableSlabFillThreaded(benchmark::State& state) {
   // Bucketized table fill: one epoch-bump reset of the whole slab plus the
@@ -290,11 +274,10 @@ void BM_ExpandRunThreaded(benchmark::State& state) {
   p.table_capacity = 8;
   p.seed = 42;
   p.max_rounds = 16;
-  core::ExpandScratch scratch;
+  core::ExpandEngine engine;
   for (auto _ : state) {
     core::RunStats stats;
-    core::ExpandEngine engine(ongoing, arcs, p, stats, &scratch);
-    engine.run();
+    engine.run(ongoing, arcs, p, stats);
     benchmark::DoNotOptimize(engine.rounds());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -319,8 +302,8 @@ void BM_VoteThreaded(benchmark::State& state) {
   p.seed = 42;
   p.max_rounds = 16;
   core::RunStats stats;
-  core::ExpandEngine engine(ongoing, arcs, p, stats);
-  engine.run();
+  core::ExpandEngine engine;
+  engine.run(ongoing, arcs, p, stats);
   core::VoteParams vp;
   vp.dormant_leader_prob = 0.3;
   vp.seed = 3;

@@ -3,7 +3,7 @@
 //   * ALTER        — replace every edge {v,w} by {v.p, w.p};
 //   * direct LINK / parent LINK — applied inside the algorithm drivers;
 //   * SHORTCUT     — lives on ParentForest (labels.hpp);
-//   * expansion    — lives in hash_table/expand/expand_maxlink.
+//   * expansion    — lives in table_slab/expand/expand_maxlink.
 //
 // Arcs carry the index of the original input edge they were altered from
 // (`orig`), which is what lets the spanning-forest algorithm mark tree edges

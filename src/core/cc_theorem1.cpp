@@ -53,9 +53,10 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
   // ñ update rule state (§B.5) for the pure-ARBITRARY variant.
   double n_tilde = static_cast<double>(std::max<std::uint64_t>(n, 1));
 
-  ExpandScratch expand_scratch;  // reused by every phase (slot map + fills)
-  // Hoisted per-phase buffers (ongoing flags, leader flags, LINK choices):
-  // steady-state phases reuse their capacity instead of allocating.
+  // One EXPAND engine and hoisted per-phase buffers (ongoing flags, leader
+  // flags, LINK choices): steady-state phases reuse their capacity instead
+  // of allocating.
+  ExpandEngine expand;
   std::vector<std::uint8_t> ongoing;
   std::vector<std::uint8_t> leader;
   std::vector<VertexId> chosen;
@@ -63,7 +64,6 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
   while (true) {
     util::scratch_arena_round_reset();
     dedup_arcs(arcs);
-    drop_loops(arcs);
     const std::uint64_t num_ongoing = mark_ongoing(n, arcs, ongoing);
     if (num_ongoing == 0) return;
     if (phase >= max_phases) break;  // to finisher
@@ -89,8 +89,7 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
     ep.keep_history = in_forest != nullptr;  // TREE-LINK consumes H_j
 
-    ExpandEngine expand(ongoing, arcs, ep, stats, &expand_scratch);
-    expand.run();
+    expand.run(ongoing, arcs, ep, stats);
 
     VoteParams vp;
     vp.dormant_leader_prob = std::pow(b, -2.0 / 3.0);

@@ -60,8 +60,10 @@ CcResult theorem1_cc(const graph::ArcsInput& in,
 
 /// The one EXPAND/VOTE phase loop, in place on (forest, arcs), ending in
 /// deterministic_contract when the phase budget runs out. Arcs must connect
-/// roots of flat trees. Theorem 1 and the Theorem-3 postprocess run it
-/// plain: LINK to a leader in the expanded neighbourhood, then SHORTCUT.
+/// roots of flat trees and hold no loops (u == v); every phase ends with
+/// ALTER and drop_loops, so it keeps both true. Theorem 1 and the Theorem-3
+/// postprocess run it plain: LINK to a leader in the expanded
+/// neighbourhood, then SHORTCUT.
 /// With `in_forest` set it is Theorem 2's loop: EXPAND keeps its history,
 /// TREE-LINK (spanning_forest.hpp) links along input edges and marks them,
 /// and TREE-SHORTCUT flattens. Each mode draws its own coins.

@@ -21,55 +21,13 @@ std::size_t occupancy_bucket_count(std::size_t n) {
 
 }  // namespace
 
-ExpandEngine::ExpandEngine(std::span<const std::uint8_t> ongoing,
-                           std::span<const Arc> arcs,
-                           const ExpandParams& params, RunStats& stats,
-                           ExpandScratch* scratch)
-    : arcs_(arcs),
-      params_(params),
-      stats_(stats),
-      hb_(util::PairwiseHash::from_seed(params.seed, 0xb10c)),
-      hv_(util::PairwiseHash::from_seed(params.seed, 0x7ab1e)),
-      scratch_(scratch ? scratch : &own_scratch_) {
-  LOGCC_CHECK(params_.block_count >= 1);
-  LOGCC_CHECK(params_.table_capacity >= 2);
-  // Slots number the flagged vertices in ascending order: a stable pack of
-  // the flags, then the inverse map rebuilt over all n (SHORTCUT already
-  // costs O(n) per phase, so nothing is saved by patching the old one).
-  const std::size_t n = ongoing.size();
-  auto& vertex_of = scratch_->vertex_of;
-  auto& slot_of = scratch_->slot_of;
-  util::parallel_emit(
-      n, vertex_of,
-      [&](std::size_t v) -> std::size_t { return ongoing[v] != 0; },
-      [](std::size_t v, VertexId* dst) { *dst = static_cast<VertexId>(v); });
-  slot_of.resize(n);
-  util::parallel_for(0, n, [&](std::size_t v) { slot_of[v] = kNoSlot; });
-  const std::uint32_t num = num_slots();
-  util::parallel_for(0, num, [&](std::size_t s) {
-    slot_of[vertex_of[s]] = static_cast<std::uint32_t>(s);
-  });
-  // Tables live in the scratch's contiguous slab: epoch-reset is O(num)
-  // bookkeeping (no per-cell zeroing, no per-table vectors), and across
-  // phases the slab memory is reused outright.
-  scratch_->tables.reset_uniform(num, params_.table_capacity);
-  scratch_->owns_block.resize(num);
-  scratch_->dormant_round.resize(num);
-  util::parallel_for(0, num, [&](std::size_t s) {
-    scratch_->owns_block[s] = 0;
-    scratch_->dormant_round[s] = kNeverDormant;
-  });
-  scratch_->collisions.resize(num);
-}
-
 void ExpandEngine::mark_dormant(std::uint32_t slot, std::uint32_t round) {
-  auto& dormant_round = scratch_->dormant_round;
-  if (dormant_round[slot] == kNeverDormant) dormant_round[slot] = round;
+  if (dormant_round_[slot] == kNeverDormant) dormant_round_[slot] = round;
 }
 
 void ExpandEngine::flush_collisions() {
-  auto& coll = scratch_->collisions;
-  stats_.hash_collisions += util::parallel_reduce(
+  const auto& coll = collisions_;
+  stats_->hash_collisions += util::parallel_reduce(
       std::size_t{0}, coll.size(), std::uint64_t{0},
       [&](std::size_t s) { return coll[s]; },
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
@@ -80,14 +38,14 @@ void ExpandEngine::assign_blocks() {
   // (detected CRCW-style: write your id, re-read, then a second pass where
   // losers invalidate the cell — host-side we count occupants per key).
   const std::uint32_t num = num_slots();
-  const auto& vertex_of = scratch_->vertex_of;
-  auto& owns_block = scratch_->owns_block;
-  auto& dormant_round = scratch_->dormant_round;
+  const auto& vertex_of = vertex_of_;
+  auto& owns_block = owns_block_;
+  auto& dormant_round = dormant_round_;
   // Occupancy: stable bucket partition of (block key, slot) pairs by mixed
   // key bits, then a per-bucket sort + run scan. Every slot appears exactly
   // once, so the owner writes are disjoint.
-  auto& keys = scratch_->block_keys;
-  auto& scattered = scratch_->block_keys_tmp;
+  auto& keys = block_keys_;
+  auto& scattered = block_keys_tmp_;
   keys.resize(num);
   util::parallel_for(0, num, [&](std::size_t s) {
     keys[s] = {hb_(vertex_of[s], params_.block_count),
@@ -116,7 +74,7 @@ void ExpandEngine::assign_blocks() {
       }
     }
   });
-  stats_.pram_steps += 2;
+  stats_->pram_steps += 2;
 }
 
 void ExpandEngine::seed_tables() {
@@ -125,9 +83,9 @@ void ExpandEngine::seed_tables() {
   // a block instead marks its neighbours dormant (idempotent store of
   // round 0).
   const std::size_t m2 = arcs_.size() * 2;
-  const auto& slot_of = scratch_->slot_of;
-  auto& owns_block = scratch_->owns_block;
-  auto& dormant_round = scratch_->dormant_round;
+  const auto& slot_of = slot_of_;
+  const auto& owns_block = owns_block_;
+  auto& dormant_round = dormant_round_;
   util::parallel_for(0, m2, [&](std::size_t j) {
     const Arc& a = arcs_[j >> 1];
     const VertexId v = (j & 1) ? a.v : a.u;
@@ -141,8 +99,8 @@ void ExpandEngine::seed_tables() {
   // directed-arc order, group them by slot, then let every slot replay its
   // own inserts serially — same per-table insert order as the serial
   // sweep, but slots fill in parallel.
-  auto& items = scratch_->fill_items;
-  auto& grouped = scratch_->fill_items_grouped;
+  auto& items = fill_items_;
+  auto& grouped = fill_items_grouped_;
   util::parallel_emit(
       m2, items,
       [&](std::size_t j) -> std::size_t {
@@ -153,7 +111,7 @@ void ExpandEngine::seed_tables() {
         const std::uint32_t sw = slot_of[w];
         return (sv != kNoSlot && sw != kNoSlot && owns_block[sv]) ? 2 : 0;
       },
-      [&](std::size_t j, std::pair<std::uint32_t, VertexId>* dst) {
+      [&](std::size_t j, FillItem* dst) {
         const Arc& a = arcs_[j >> 1];
         const VertexId v = (j & 1) ? a.v : a.u;
         const VertexId w = (j & 1) ? a.u : a.v;
@@ -164,23 +122,23 @@ void ExpandEngine::seed_tables() {
   const std::uint32_t num = num_slots();
   util::ScratchBuffer<std::size_t> slot_begin(num + 1);
   util::parallel_group_by_into(items, grouped, num,
-                               [](const auto& it) { return it.first; },
+                               [](const FillItem& it) { return it.slot; },
                                slot_begin.span());
-  auto& coll = scratch_->collisions;
-  TableSlab& tables = scratch_->tables;
+  auto& coll = collisions_;
+  TableSlab& tables = tables_;
   const std::uint32_t cap = params_.table_capacity;
   util::parallel_for(0, num, [&](std::size_t s) {
     coll[s] = 0;
     if (!owns_block[s]) return;
     const auto t = static_cast<std::uint32_t>(s);
     for (std::size_t i = slot_begin[s]; i < slot_begin[s + 1]; ++i) {
-      const VertexId w = grouped[i].second;
+      const VertexId w = grouped[i].w;
       if (tables.insert_at(t, static_cast<std::uint32_t>(hv_(w, cap)), w) ==
           TableSlab::Insert::kCollision)
         ++coll[s];
     }
     // Isolated block owner still holds itself.
-    const VertexId v = scratch_->vertex_of[s];
+    const VertexId v = vertex_of_[s];
     if (tables.insert_at(t, static_cast<std::uint32_t>(hv_(v, cap)), v) ==
         TableSlab::Insert::kCollision)
       ++coll[s];
@@ -190,7 +148,7 @@ void ExpandEngine::seed_tables() {
   util::parallel_for(0, num, [&](std::size_t s) {
     if (tables.collided(static_cast<std::uint32_t>(s))) mark_dormant(s, 0);
   });
-  stats_.pram_steps += 2;
+  stats_->pram_steps += 2;
 }
 
 void ExpandEngine::snapshot_history() {
@@ -199,7 +157,7 @@ void ExpandEngine::snapshot_history() {
   auto& snap = history_.back();
   const std::uint32_t num = num_slots();
   snap.resize(num);
-  const TableSlab& tables = scratch_->tables;
+  const TableSlab& tables = tables_;
   util::parallel_for(0, num, [&](std::size_t s) {
     auto& items = snap[s];
     items.clear();
@@ -211,18 +169,18 @@ void ExpandEngine::snapshot_history() {
 
 void ExpandEngine::doubling_rounds() {
   const std::uint32_t num = num_slots();
-  const auto& slot_of = scratch_->slot_of;
-  auto& coll = scratch_->collisions;
-  auto& owns_block = scratch_->owns_block;
-  auto& dormant_round = scratch_->dormant_round;
-  TableSlab& tables = scratch_->tables;
+  const auto& slot_of = slot_of_;
+  auto& coll = collisions_;
+  const auto& owns_block = owns_block_;
+  const auto& dormant_round = dormant_round_;
+  TableSlab& tables = tables_;
   const std::uint32_t cap = params_.table_capacity;
 
-  auto& changed = scratch_->changed;          // table changed last round
-  auto& went_dormant = scratch_->went_dormant;
-  auto& dormant_in = scratch_->dormant_in;
-  auto& changed_now = scratch_->changed_now;
-  auto& dormant_now = scratch_->dormant_now;
+  auto& changed = changed_;  // table changed last round
+  auto& went_dormant = went_dormant_;
+  auto& dormant_in = dormant_in_;
+  auto& changed_now = changed_now_;
+  auto& dormant_now = dormant_now_;
   changed.resize(num);
   went_dormant.resize(num);
   dormant_in.resize(num);
@@ -232,14 +190,14 @@ void ExpandEngine::doubling_rounds() {
     changed[s] = 1;
     went_dormant[s] = dormant_round[s] != kNeverDormant;
   });
-  auto& snap = scratch_->snapshot_words;
+  auto& snap = snapshot_words_;
 
   for (std::uint32_t round = 1; round <= params_.max_rounds; ++round) {
     // Safe here even when a phase loop above holds the arena: between
     // kernel calls nothing lives in it (the RoundArena rule).
     util::scratch_arena_round_reset();
-    ++stats_.pram_steps;
-    ++stats_.expand_rounds;
+    ++stats_->pram_steps;
+    ++stats_->expand_rounds;
 
     // Snapshot table contents (synchronous semantics: this round reads the
     // previous round's tables) as ONE flat copy of the slab — no per-slot
@@ -307,7 +265,45 @@ void ExpandEngine::doubling_rounds() {
   }
 }
 
-void ExpandEngine::run() {
+void ExpandEngine::run(std::span<const std::uint8_t> ongoing,
+                       std::span<const Arc> arcs, const ExpandParams& params,
+                       RunStats& stats) {
+  LOGCC_CHECK(params.block_count >= 1);
+  LOGCC_CHECK(params.table_capacity >= 2);
+  arcs_ = arcs;
+  params_ = params;
+  stats_ = &stats;
+  hb_ = util::PairwiseHash::from_seed(params.seed, 0xb10c);
+  hv_ = util::PairwiseHash::from_seed(params.seed, 0x7ab1e);
+  history_.clear();
+  rounds_ = 0;
+  // Slots number the flagged vertices in ascending order — a
+  // stable pack of the flags, then the inverse map rebuilt over all n
+  // (SHORTCUT already costs O(n) per phase, so nothing is saved by patching
+  // the previous run's map).
+  const std::size_t n = ongoing.size();
+  util::parallel_emit(
+      n, vertex_of_,
+      [&](std::size_t v) -> std::size_t { return ongoing[v] != 0; },
+      [](std::size_t v, VertexId* dst) { *dst = static_cast<VertexId>(v); });
+  slot_of_.resize(n);
+  util::parallel_for(0, n, [&](std::size_t v) { slot_of_[v] = kNoSlot; });
+  const std::uint32_t num = num_slots();
+  util::parallel_for(0, num, [&](std::size_t s) {
+    slot_of_[vertex_of_[s]] = static_cast<std::uint32_t>(s);
+  });
+  // Tables live in one contiguous slab: the reset is O(num) bookkeeping
+  // (no per-cell zeroing, no per-table vectors), and across runs the slab
+  // memory is reused outright.
+  tables_.reset_uniform(num, params_.table_capacity);
+  owns_block_.resize(num);
+  dormant_round_.resize(num);
+  util::parallel_for(0, num, [&](std::size_t s) {
+    owns_block_[s] = 0;
+    dormant_round_[s] = kNeverDormant;
+  });
+  collisions_.resize(num);
+
   assign_blocks();
   seed_tables();
   snapshot_history();  // H_0

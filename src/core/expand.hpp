@@ -21,6 +21,10 @@
 // `keep_history` retains H_j(u) and per-round liveness for every round j —
 // required by the spanning forest's TREE-LINK (§C.3).
 //
+// A phase loop keeps one engine and calls run() once per phase; the engine
+// owns every buffer EXPAND uses (docs/ARCHITECTURE.md, "EXPAND owns its
+// buffers").
+//
 // Every step is data-parallel over util/scan's blocked primitives — block
 // occupancy via a stable bucket partition, table seeding via a segmented
 // emit grouped by owner slot, doubling rounds as a parallel map over slots
@@ -48,64 +52,40 @@ struct ExpandParams {
   bool keep_history = false;       // retain H_j for TREE-LINK
 };
 
-/// Caller-hoisted scratch for the engine's parallel kernels. Phase loops
-/// construct one ExpandEngine per phase; hoisting the scratch avoids
-/// re-allocating the O(n) slot map, the bucket-partition buffers, the table
-/// slab and the doubling-round state every phase. Every engine rebuilds
-/// the slot map over all n, so no state carries over between engines.
-struct ExpandScratch {
-  std::vector<std::uint32_t> slot_of;  // n entries, kNoSlot except ongoing
-  std::vector<VertexId> vertex_of;     // ongoing vertices, ascending
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys_tmp;
-  std::vector<std::pair<std::uint32_t, VertexId>> fill_items;
-  std::vector<std::pair<std::uint32_t, VertexId>> fill_items_grouped;
-  std::vector<std::uint64_t> collisions;  // per-slot tallies
-  TableSlab tables;                       // H(u) buckets, epoch-reset per phase
-  std::vector<std::uint64_t> snapshot_words;  // per-round flat table snapshot
-  std::vector<std::uint8_t> owns_block;
-  std::vector<std::uint32_t> dormant_round;
-  // Doubling-round flags (hoisted: rounds are the innermost hot loop).
-  std::vector<std::uint8_t> changed, went_dormant, dormant_in;
-  std::vector<std::uint8_t> changed_now, dormant_now;
-};
-
 class ExpandEngine {
  public:
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
   static constexpr std::uint32_t kNeverDormant = static_cast<std::uint32_t>(-1);
 
-  /// `ongoing` flags the roots participating this phase, one byte per
-  /// vertex (mark_ongoing's flags; n = ongoing.size()); they take slots in
-  /// ascending vertex order. `arcs` are the current (altered) arcs — only
-  /// those whose both endpoints are ongoing are used. `scratch`, when
-  /// given, must outlive the engine and not be shared with a
-  /// concurrently-live engine.
-  ExpandEngine(std::span<const std::uint8_t> ongoing,
-               std::span<const Arc> arcs, const ExpandParams& params,
-               RunStats& stats, ExpandScratch* scratch = nullptr);
+  ExpandEngine() = default;
   ExpandEngine(const ExpandEngine&) = delete;
   ExpandEngine& operator=(const ExpandEngine&) = delete;
 
-  /// Executes Steps (1)–(5); fills all result accessors below.
-  void run();
+  /// Numbers the slots, executes Steps (1)–(5) for one phase and fills the
+  /// result accessors below. `ongoing` flags the roots participating this phase, one byte
+  /// per vertex (mark_ongoing's flags; n = ongoing.size()); they take slots
+  /// in ascending vertex order. `arcs` are the current (altered) arcs;
+  /// only those whose both endpoints are ongoing are used. Every run starts
+  /// from scratch (slot map, tables, dormancy, rounds, history); only
+  /// buffer capacity carries over, so a phase loop keeps one engine and,
+  /// once warm, a run allocates nothing.
+  void run(std::span<const std::uint8_t> ongoing, std::span<const Arc> arcs,
+           const ExpandParams& params, RunStats& stats);
 
   std::uint32_t num_slots() const {
-    return static_cast<std::uint32_t>(scratch_->vertex_of.size());
+    return static_cast<std::uint32_t>(vertex_of_.size());
   }
-  std::uint32_t slot_of(VertexId v) const { return scratch_->slot_of[v]; }
-  VertexId vertex_of(std::uint32_t slot) const {
-    return scratch_->vertex_of[slot];
-  }
+  std::uint32_t slot_of(VertexId v) const { return slot_of_[v]; }
+  VertexId vertex_of(std::uint32_t slot) const { return vertex_of_[slot]; }
 
   bool owns_block(std::uint32_t slot) const {
-    return scratch_->owns_block[slot] != 0;
+    return owns_block_[slot] != 0;
   }
   bool fully_dormant(std::uint32_t slot) const { return !owns_block(slot); }
   /// Round at which the vertex became dormant; kNeverDormant if it stayed
   /// live throughout. Fully dormant vertices report round 0.
   std::uint32_t dormant_round(std::uint32_t slot) const {
-    return scratch_->dormant_round[slot];
+    return dormant_round_[slot];
   }
   bool live_after(std::uint32_t slot) const {
     return dormant_round(slot) == kNeverDormant;
@@ -117,7 +97,7 @@ class ExpandEngine {
   }
 
   TableView table(std::uint32_t slot) const {
-    return TableView(&scratch_->tables, slot);
+    return TableView(&tables_, slot);
   }
 
   /// Total doubling rounds executed (the paper's T).
@@ -137,17 +117,39 @@ class ExpandEngine {
   void doubling_rounds();  // Step (5)
   void mark_dormant(std::uint32_t slot, std::uint32_t round);
   void snapshot_history();
-  void flush_collisions();  // scratch tallies -> stats_.hash_collisions
+  void flush_collisions();  // per-slot tallies -> stats_->hash_collisions
 
+  // The current run's inputs; arcs_ and stats_ are read only inside run().
   std::span<const Arc> arcs_;
   ExpandParams params_;
-  RunStats& stats_;
-
+  RunStats* stats_ = nullptr;
   util::PairwiseHash hb_, hv_;
-  ExpandScratch own_scratch_;   // used when the caller passes none
-  ExpandScratch* scratch_;      // tables/flags live here, hoisted per phase
+
+  // Results, read through the accessors above.
+  std::vector<std::uint32_t> slot_of_;  // n entries, kNoSlot except ongoing
+  std::vector<VertexId> vertex_of_;     // ongoing vertices, ascending
+  std::vector<std::uint8_t> owns_block_;
+  std::vector<std::uint32_t> dormant_round_;
+  TableSlab tables_;                    // H(u) buckets, epoch-reset per run
   std::vector<std::vector<std::vector<VertexId>>> history_;  // [round][slot]
   std::uint32_t rounds_ = 0;
+
+  // Kernel buffers, kept only for their capacity.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys_tmp_;
+  // (owner slot, vertex) insert. Trivially copyable, unlike std::pair, so
+  // the group-by's staging copy comes from the round arena, not the heap.
+  struct FillItem {
+    std::uint32_t slot;
+    VertexId w;
+  };
+  std::vector<FillItem> fill_items_;
+  std::vector<FillItem> fill_items_grouped_;
+  std::vector<std::uint64_t> collisions_;      // per-slot tallies
+  std::vector<std::uint64_t> snapshot_words_;  // per-round flat table copy
+  // Doubling-round flags (rounds are the innermost hot loop).
+  std::vector<std::uint8_t> changed_, went_dormant_, dormant_in_;
+  std::vector<std::uint8_t> changed_now_, dormant_now_;
 };
 
 }  // namespace logcc::core

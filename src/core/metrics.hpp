@@ -35,11 +35,6 @@ struct RunStats {
   bool finisher_used = false;   // guaranteed-convergent fallback fired
   bool prepare_used = false;    // PREPARE/COMPACT densification ran
 
-  void bump_level_histogram(std::uint32_t level) {
-    if (level_histogram.size() <= level) level_histogram.resize(level + 1, 0);
-    ++level_histogram[level];
-  }
-
   /// Merges counters from a sub-run (e.g. Thm 3's Thm-1 postprocess).
   void absorb(const RunStats& other) {
     rounds += other.rounds;

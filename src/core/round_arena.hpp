@@ -1,7 +1,7 @@
 // RoundArena — the caller-owned round-scratch arena of the algorithm
-// drivers, extending the ExpandScratch caller-owned-scratch protocol
-// (docs/ARCHITECTURE.md) from "one kernel's O(n) workspace" to "every
-// kernel temporary of a round".
+// drivers: every kernel temporary of a round (a util::ScratchBuffer) comes
+// from it. Cross-round buffers are not arena-backed; they are retained by
+// their owner (ExpandEngine keeps its own, see docs/ARCHITECTURE.md).
 //
 // Ownership rule:
 //   1. The *driver* (vanilla_cc, theorem1_cc, faster_cc, compact,

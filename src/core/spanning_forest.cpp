@@ -4,6 +4,7 @@
 
 #include "core/expand.hpp"
 #include "core/round_arena.hpp"
+#include "core/table_slab.hpp"
 #include "core/vanilla.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -40,15 +41,19 @@ void tree_link(const ExpandEngine& expand,
   });
 
   // Step (2): grow Q by halving radii, j = T .. 0. Slots advance
-  // independently (each reads shared history, writes only its own Q/α);
-  // collisions tally per slot and flush after each radius.
+  // independently (each reads shared history, writes only its own Q/α and
+  // its own Q' table in `qp`, reset once per radius); collisions tally per
+  // slot and flush after each radius.
   std::vector<std::uint64_t> coll(num);
+  TableSlab qp;
   for (std::int64_t j = static_cast<std::int64_t>(expand.rounds()); j >= 0;
        --j) {
     ++stats.pram_steps;
+    qp.reset_uniform(num, cap);
     util::parallel_for(0, num, [&](std::size_t s) {
       coll[s] = 0;
       if (alpha[s] < 0) return;
+      const auto t = static_cast<std::uint32_t>(s);
       // Every member of Q(u) must be live in round j.
       bool all_live = true;
       for (VertexId v : q[s]) {
@@ -61,7 +66,6 @@ void tree_link(const ExpandEngine& expand,
       }
       if (!all_live) return;
       // Q'(u) = hash of ∪_{v∈Q(u)} H_j(v); reject on collision or leader.
-      VertexTable qp(cap);
       bool has_leader = false;
       for (VertexId v : q[s]) {
         std::uint32_t sv = expand.slot_of(v);
@@ -71,16 +75,16 @@ void tree_link(const ExpandEngine& expand,
             has_leader = true;
             break;
           }
-          if (qp.insert_at(static_cast<std::uint32_t>(hv(w, cap)), w) ==
-              VertexTable::Insert::kCollision) {
+          if (qp.insert_at(t, static_cast<std::uint32_t>(hv(w, cap)), w) ==
+              TableSlab::Insert::kCollision) {
             ++coll[s];
             break;
           }
         }
-        if (has_leader || qp.collided()) break;
+        if (has_leader || qp.collided(t)) break;
       }
-      if (!has_leader && !qp.collided()) {
-        q[s] = qp.items();
+      if (!has_leader && !qp.collided(t)) {
+        q[s] = TableView(&qp, t).items();
         alpha[s] += std::int64_t{1} << j;
       }
     });

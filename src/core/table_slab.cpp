@@ -61,7 +61,6 @@ void TableSlab::bump_epoch() {
 
 void TableSlab::reset_uniform(std::uint32_t num, std::uint32_t capacity) {
   uniform_ = true;
-  num_ = num;
   ucap_ = capacity;
   stride_ = uniform_stride(capacity);
   ensure_words(static_cast<std::size_t>(num) * stride_);
@@ -76,19 +75,19 @@ void TableSlab::reset_uniform(std::uint32_t num, std::uint32_t capacity) {
 
 void TableSlab::reset_variable(std::span<const std::uint32_t> caps) {
   uniform_ = false;
-  num_ = static_cast<std::uint32_t>(caps.size());
-  cap_.resize(num_);
-  offset_.resize(static_cast<std::size_t>(num_) + 1);
-  count_.resize(num_);
-  collided_.resize(num_);
-  util::parallel_for(0, num_, [&](std::size_t t) {
+  const std::size_t num = caps.size();
+  cap_.resize(num);
+  offset_.resize(num + 1);
+  count_.resize(num);
+  collided_.resize(num);
+  util::parallel_for(0, num, [&](std::size_t t) {
     cap_[t] = caps[t];
     offset_[t] = variable_stride(caps[t]);
     count_[t] = 0;
     collided_[t] = 0;
   });
-  const std::size_t total = util::parallel_prefix_sum(offset_.data(), num_);
-  offset_[num_] = total;
+  const std::size_t total = util::parallel_prefix_sum(offset_.data(), num);
+  offset_[num] = total;
   ensure_words(total);
   bump_epoch();
 }

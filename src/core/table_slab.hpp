@@ -1,14 +1,17 @@
-// Bucketized, cache-line-aligned backing store for the per-vertex hash
-// tables of EXPAND / EXPAND-MAXLINK.
+// Bucketized, cache-line-aligned store for every per-vertex hash table of
+// EXPAND (§B.3), TREE-LINK's Q' (§C.3) and EXPAND-MAXLINK (§D.1).
 //
-// The logical semantics are exactly VertexTable's (core/hash_table.hpp):
-// one value per cell, CRCW collision detection, Insert::{kNew, kPresent,
-// kCollision} — tests/test_table_slab.cpp asserts bit-for-bit agreement
-// against VertexTable over randomized fill sequences. What changes is the
-// *layout*: instead of one heap vector per table (scattered tiny
-// allocations, pointer-chased on every table-to-table hop of a doubling
-// round), every table is a fixed-slot bucket inside one contiguous 64-byte-
-// aligned slab:
+// One semantics, the paper's "Hashing" (§2.2, §3.3): a vertex w is written
+// into cell h(w); a *collision* is a cell already holding a different
+// vertex. The first write wins and the loser is not stored. Re-inserting a
+// vertex already present is not a collision (concurrent equal writes are
+// harmless on a CRCW machine) — this is how hashing deduplicates
+// neighbours. The table never resolves collisions: the algorithms react to
+// them (mark dormant, raise level), so a table only records that one
+// happened (Insert::{kNew, kPresent, kCollision}, collided()).
+//
+// Every table is a fixed-slot bucket inside one contiguous 64-byte-aligned
+// slab, so a table-to-table hop of a doubling round is no pointer chase:
 //
 //   slab (64B-aligned) ───────────────────────────────────────────────
 //   │ bucket 0          │ bucket 1          │ bucket 2          │ ...
@@ -41,7 +44,6 @@
 #include <span>
 #include <vector>
 
-#include "core/hash_table.hpp"
 #include "graph/graph.hpp"
 #include "util/check.hpp"
 
@@ -49,7 +51,7 @@ namespace logcc::core {
 
 class TableSlab {
  public:
-  using Insert = VertexTable::Insert;
+  enum class Insert { kNew, kPresent, kCollision };
 
   TableSlab() = default;
   TableSlab(const TableSlab&) = delete;
@@ -65,16 +67,14 @@ class TableSlab {
   /// whole cache lines so mixed capacities stay line-aligned.
   void reset_variable(std::span<const std::uint32_t> caps);
 
-  std::uint32_t num_tables() const { return num_; }
-
   std::uint32_t capacity(std::uint32_t t) const {
     return uniform_ ? ucap_ : cap_[t];
   }
   std::uint32_t count(std::uint32_t t) const { return count_[t]; }
   bool collided(std::uint32_t t) const { return collided_[t] != 0; }
 
-  /// Writes `w` into cell `cell` of table `t` — same contract as
-  /// VertexTable::insert_at, caller computes cell = h(w, capacity(t)).
+  /// Writes `w` into cell `cell` of table `t`; the caller computes
+  /// cell = h(w, capacity(t)).
   Insert insert_at(std::uint32_t t, std::uint32_t cell, graph::VertexId w) {
     LOGCC_DCHECK(cell < capacity(t));
     std::uint64_t& word = words_[base(t) + cell];
@@ -89,13 +89,7 @@ class TableSlab {
     return Insert::kCollision;
   }
 
-  bool contains_at(std::uint32_t t, std::uint32_t cell,
-                   graph::VertexId w) const {
-    return cell < capacity(t) && words_[base(t) + cell] == (tag_ | w);
-  }
-
-  /// Iterates occupied cells of table `t` in cell order (the same order
-  /// VertexTable::for_each / items() produced).
+  /// Iterates occupied cells of table `t` in cell order.
   template <typename Fn>
   void for_each(std::uint32_t t, Fn&& fn) const {
     for_each_in({words_, words_size_}, t, fn);
@@ -117,8 +111,7 @@ class TableSlab {
         fn(static_cast<graph::VertexId>(w[c]));
   }
 
-  /// Raw cell image of table `t` — kInvalidVertex in empty cells, exactly
-  /// what VertexTable::cells() held (tests compare these across layouts).
+  /// Raw cell image of table `t`: kInvalidVertex in empty cells.
   std::vector<graph::VertexId> cells(std::uint32_t t) const {
     std::vector<graph::VertexId> out(capacity(t), graph::kInvalidVertex);
     const std::uint64_t* w = words_ + base(t);
@@ -144,19 +137,18 @@ class TableSlab {
   std::size_t words_cap_ = 0;                 // words allocated
   std::uint32_t epoch_ = 1;
   std::uint64_t tag_ = std::uint64_t{1} << 32;  // epoch_ << 32
-  std::uint32_t num_ = 0;
   bool uniform_ = true;
   std::uint32_t ucap_ = 0;      // uniform mode: capacity
   std::size_t stride_ = 0;      // uniform mode: words per bucket
   std::vector<std::uint32_t> cap_;       // variable mode
-  std::vector<std::size_t> offset_;      // variable mode, num_ + 1 entries
+  std::vector<std::size_t> offset_;      // variable mode, tables + 1 entries
   std::vector<std::uint32_t> count_;
   std::vector<std::uint8_t> collided_;
   std::uint64_t slab_allocations_ = 0;
 };
 
-/// Lightweight const view of one slab table with VertexTable's read-side
-/// interface — what ExpandEngine::table() hands to VOTE / LINK / tests.
+/// Lightweight const view of one slab table — what ExpandEngine::table()
+/// hands to VOTE / LINK / tests, and how TREE-LINK reads a Q' table.
 class TableView {
  public:
   TableView(const TableSlab* slab, std::uint32_t t) : slab_(slab), t_(t) {}
@@ -164,9 +156,6 @@ class TableView {
   std::uint32_t capacity() const { return slab_->capacity(t_); }
   std::uint32_t count() const { return slab_->count(t_); }
   bool collided() const { return slab_->collided(t_); }
-  bool contains_at(std::uint32_t cell, graph::VertexId w) const {
-    return slab_->contains_at(t_, cell, w);
-  }
   template <typename Fn>
   void for_each(Fn&& fn) const {
     slab_->for_each(t_, fn);

@@ -62,8 +62,8 @@ TEST(FailureInjection, ExpandWithCapacityTwoTables) {
   const std::vector<std::uint8_t> ongoing(el.n, 1);
   auto arcs = core::arcs_from_input(el);
   core::RunStats stats;
-  core::ExpandEngine engine(ongoing, arcs, p, stats);
-  engine.run();
+  core::ExpandEngine engine;
+  engine.run(ongoing, arcs, p, stats);
   for (std::uint32_t s = 0; s < engine.num_slots(); ++s)
     EXPECT_LE(engine.table(s).count(), 2u);
   EXPECT_GT(stats.hash_collisions, 0u);

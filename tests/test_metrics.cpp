@@ -17,18 +17,6 @@ TEST(RunStats, DefaultsAreZero) {
   EXPECT_TRUE(s.level_histogram.empty());
 }
 
-TEST(RunStats, BumpLevelHistogramGrows) {
-  RunStats s;
-  s.bump_level_histogram(3);
-  ASSERT_EQ(s.level_histogram.size(), 4u);
-  EXPECT_EQ(s.level_histogram[3], 1u);
-  s.bump_level_histogram(3);
-  s.bump_level_histogram(1);
-  EXPECT_EQ(s.level_histogram[3], 2u);
-  EXPECT_EQ(s.level_histogram[1], 1u);
-  EXPECT_EQ(s.level_histogram[0], 0u);
-}
-
 TEST(RunStats, AbsorbSumsAndMaxes) {
   RunStats a, b;
   a.rounds = 1;

@@ -146,5 +146,38 @@ TEST_F(ThreadInvariance, ForestEdgesIdenticalAcrossThreads) {
   }
 }
 
+// TREE-LINK keeps one Q' table per slot and empties them all before each
+// radius. On these inputs some slot's Q' is rejected at one radius (a
+// collision or a leader) and accepted at a smaller one, so the forest is
+// only right when that retry starts from an empty table. The fingerprints
+// (FNV-1a over the forest edge indices) were recorded with per-radius
+// resets; stale Q' entries move them.
+TEST_F(ThreadInvariance, TreeLinkRetryStartsFromEmptyQPrime) {
+  struct Case {
+    const char* family;
+    std::uint64_t n, seed, fingerprint;
+  };
+  const Case cases[] = {{"cycle", 10000, 1, 0x1bf5e7a53032c9b6ULL},
+                        {"cycle", 10000, 6, 0x59cff1c55c0b6c95ULL},
+                        {"lollipop", 2000, 4, 0x5fe249ba0183c9b3ULL}};
+  for (const Case& c : cases) {
+    const auto el = graph::make_family(c.family, c.n, 1);
+    SpanningForestParams p;
+    p.seed = c.seed;
+    for (int threads : {1, 4}) {
+      util::set_parallelism(threads);
+      const auto sf = theorem2_sf(el, p);
+      expect_valid_forest(el, sf, c.family);
+      std::uint64_t h = 1469598103934665603ULL;
+      for (std::uint64_t e : sf.forest_edges) {
+        h ^= e;
+        h *= 1099511628211ULL;
+      }
+      EXPECT_EQ(h, c.fingerprint) << c.family << ":" << c.n << " seed "
+                                  << c.seed << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace logcc::core

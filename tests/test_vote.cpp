@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "graph/generators.hpp"
 #include "test_support.hpp"
@@ -16,13 +15,12 @@ struct VoteHarness {
   VoteHarness(const graph::EdgeList& el, ExpandParams p)
       : arcs(arcs_from_input(el)), ongoing(el.n, 1) {
     drop_loops(arcs);
-    engine = std::make_unique<ExpandEngine>(ongoing, arcs, p, stats);
-    engine->run();
+    engine.run(ongoing, arcs, p, stats);
   }
   std::vector<Arc> arcs;
   std::vector<std::uint8_t> ongoing;
   RunStats stats;
-  std::unique_ptr<ExpandEngine> engine;
+  ExpandEngine engine;
 };
 
 ExpandParams generous(std::uint64_t n) {
@@ -42,11 +40,11 @@ TEST(Vote, LiveComponentsElectExactlyTheMinId) {
   vp.seed = 3;
   RunStats stats;
   std::vector<std::uint8_t> leader;
-  vote(*h.engine, vp, stats, leader);
+  vote(h.engine, vp, stats, leader);
   // All vertices are live here; leaders must be vertex 0 (first path) and
   // vertex 9 (min of the cycle's id range), nothing else.
-  for (std::uint32_t s = 0; s < h.engine->num_slots(); ++s) {
-    VertexId v = h.engine->vertex_of(s);
+  for (std::uint32_t s = 0; s < h.engine.num_slots(); ++s) {
+    VertexId v = h.engine.vertex_of(s);
     EXPECT_EQ(leader[s] == 1, v == 0 || v == 9) << "vertex " << v;
   }
 }
@@ -62,7 +60,7 @@ TEST(Vote, DormantLeaderRateMatchesProbability) {
   vp.seed = 99;
   RunStats stats;
   std::vector<std::uint8_t> leader;
-  vote(*h.engine, vp, stats, leader);
+  vote(h.engine, vp, stats, leader);
   double rate =
       static_cast<double>(std::count(leader.begin(), leader.end(), 1)) /
       static_cast<double>(leader.size());
@@ -79,7 +77,7 @@ TEST(Vote, DormantZeroProbabilityElectsNobody) {
   vp.seed = 5;
   RunStats stats;
   std::vector<std::uint8_t> leader;
-  vote(*h.engine, vp, stats, leader);
+  vote(h.engine, vp, stats, leader);
   EXPECT_EQ(std::count(leader.begin(), leader.end(), 1), 0);
 }
 
@@ -93,8 +91,8 @@ TEST(Vote, DeterministicForSeed) {
   vp.seed = 42;
   RunStats s1, s2;
   std::vector<std::uint8_t> l1, l2;
-  vote(*h.engine, vp, s1, l1);
-  vote(*h.engine, vp, s2, l2);
+  vote(h.engine, vp, s1, l1);
+  vote(h.engine, vp, s2, l2);
   EXPECT_EQ(l1, l2);
 }
 
@@ -120,12 +118,12 @@ TEST_F(ThreadInvariance, LeaderVectorIdenticalAcrossThreads) {
   util::set_parallelism(1);
   RunStats s1;
   std::vector<std::uint8_t> one;
-  vote(*h.engine, vp, s1, one);
+  vote(h.engine, vp, s1, one);
   for (int threads : {2, 8}) {
     util::set_parallelism(threads);
     RunStats sn;
     std::vector<std::uint8_t> many(3, 1);  // stale contents get overwritten
-    vote(*h.engine, vp, sn, many);
+    vote(h.engine, vp, sn, many);
     EXPECT_EQ(one, many) << "threads=" << threads;
   }
 }
