@@ -1,5 +1,4 @@
-// A1 — ablations of the Theorem-3 design choices (DESIGN.md §3, §1.2.2 of
-// the paper):
+// A1 — ablations of the Theorem-3 design choices (§1.2.2 of the paper):
 //   * MAXLINK iterations: the paper uses exactly 2 (Lemma 3.21's two-hop
 //     argument); 1 should degrade round counts, 3 should buy ~nothing;
 //   * budget growth exponent: 1.01 (paper) vs 1.5 (practical) vs 2.0 —

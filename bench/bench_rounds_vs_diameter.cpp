@@ -48,11 +48,13 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(cli.get_int("reps", 3, "seeds per cell"));
   cli.finish();
 
-  // For faster-cc, expose the EXPAND-MAXLINK loop to the full input
-  // diameter: a PREPARE contraction would divide every d by the same factor
-  // and compress the x-axis.
+  // For faster-cc and Theorem 1, expose the EXPAND-MAXLINK loop and the
+  // phase loop to the full input diameter: PREPARE's sample contraction
+  // solves most of these workloads alone, and a partial one would divide
+  // every d by the same factor and compress the x-axis.
   Options no_prepare;
   no_prepare.faster.prepare_max_phases = 0;
+  no_prepare.theorem1.prepare_max_phases = 0;
 
   header("F1: rounds vs diameter",
          "claim: Thm-3 rounds ~ log d (+ log log n); Thm-1 total steps ~ "
@@ -72,7 +74,9 @@ int main(int argc, char** argv) {
     for (Algorithm alg : algs) {
       RunOutcome r = run_algorithm(
           w.el, alg, 17, reps,
-          alg == Algorithm::kFasterCC ? no_prepare : Options{});
+          alg == Algorithm::kFasterCC || alg == Algorithm::kTheorem1
+              ? no_prepare
+              : Options{});
       if (!r.correct) std::printf("!! WRONG ANSWER: %s\n", to_string(alg));
       if (alg == Algorithm::kFasterCC) {
         // The log-d-sensitive term is the EXPAND-MAXLINK loop; COMPACT's

@@ -1,8 +1,10 @@
 // Shiloach–Vishkin (1982) connected components — the classical O(log n)-time
 // ARBITRARY CRCW PRAM algorithm the paper's introduction departs from.
 //
-// This is the fast "synchronous vector" rendering (see DESIGN.md §5.1); the
-// step-faithful on-simulator version lives in pram/sv_on_pram.hpp.
+// This is the fast "synchronous vector" rendering: each PRAM step is one
+// sequential sweep over the parent array or the edges, with no processor
+// simulation; the step-faithful on-simulator version lives in
+// pram/sv_on_pram.hpp.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,8 @@
 // library also ships a Practical policy with the same *structure* —
 // double-exponential budget growth, polynomially-small raise probability —
 // but exponents calibrated so the behaviour is observable at laptop scale.
-// DESIGN.md §5 documents this substitution.
+// The paper policy stays selectable (FasterCcParams::policy); at any
+// feasible n its b_1 hits the budget cap at once (tests/test_budget.cpp).
 #pragma once
 
 #include <cstdint>

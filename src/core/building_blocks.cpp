@@ -271,7 +271,8 @@ template void dedup_arcs(std::vector<graph::Edge>&);
 
 std::uint64_t deterministic_contract(ParentForest& forest,
                                      std::vector<Arc>& arcs, RunStats& stats,
-                                     std::vector<std::uint8_t>* in_forest) {
+                                     std::vector<std::uint8_t>* in_forest,
+                                     std::uint64_t max_rounds) {
   // Invariant at the top of every round: trees are flat, arcs connect roots.
   forest.flatten();
   alter(arcs, forest);
@@ -280,7 +281,7 @@ std::uint64_t deterministic_contract(ParentForest& forest,
   constexpr std::uint32_t kNoArc = static_cast<std::uint32_t>(-1);
   std::vector<std::uint64_t> best;  // (candidate parent << 32) | arc index
   std::uint64_t rounds = 0;
-  while (has_nonloop(arcs)) {
+  while ((max_rounds == 0 || rounds < max_rounds) && has_nonloop(arcs)) {
     util::scratch_arena_round_reset();
     ++rounds;
     ++stats.phases;

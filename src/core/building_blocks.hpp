@@ -85,15 +85,20 @@ bool has_nonloop(const std::vector<BasicArc<V>>& arcs);
 std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
                            std::vector<std::uint8_t>& flags);
 
-/// Guaranteed-convergent finisher (DESIGN.md §5.3): deterministic
-/// Boruvka-style min-label hooking + full flatten + ALTER until no non-loop
-/// arc remains. O(log n) rounds worst case, no randomness. Used when a
-/// randomized driver exhausts its round budget, and as the last stage of
-/// Theorem-3 runs. Returns the number of rounds. With `in_forest` set it
-/// records, for every hook, the input edge that realised it
-/// (`(*in_forest)[orig] = 1`), so it also finishes a spanning forest.
+/// Deterministic Boruvka-style min-label hooking + full flatten + ALTER
+/// until no non-loop arc remains, or `max_rounds` rounds ran (0 = no cap).
+/// O(log n) rounds worst case, no randomness; every round ends with flat
+/// trees and loop-free arcs on roots, so a capped run leaves a valid
+/// partial contraction. Run to completion it is the guaranteed-convergent
+/// finisher of a randomized algorithm that exhausts its round budget;
+/// capped, it contracts PREPARE's neighbour sample (core/prepare.hpp).
+/// Returns the number of rounds (each also counted in stats.phases). With
+/// `in_forest` set it records, for every hook, the input edge that
+/// realised it (`(*in_forest)[orig] = 1`), so it also finishes a spanning
+/// forest.
 std::uint64_t deterministic_contract(
     ParentForest& forest, std::vector<Arc>& arcs, RunStats& stats,
-    std::vector<std::uint8_t>* in_forest = nullptr);
+    std::vector<std::uint8_t>* in_forest = nullptr,
+    std::uint64_t max_rounds = 0);
 
 }  // namespace logcc::core

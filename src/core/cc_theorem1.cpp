@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "core/expand.hpp"
+#include "core/prepare.hpp"
 #include "core/round_arena.hpp"
 #include "core/spanning_forest.hpp"
-#include "core/vanilla.hpp"
 #include "core/vote.hpp"
 #include "util/arena.hpp"
 #include "util/bitutil.hpp"
@@ -160,18 +160,12 @@ CcResult theorem1_cc(const graph::ArcsInput& in, const Theorem1Params& params) {
   CcResult out;
   RoundArena round_arena;
   RoundArena::Scope arena_scope(round_arena);
-  const std::uint64_t n = in.num_vertices();
-  ParentForest forest(n);
-  std::vector<Arc> arcs = arcs_from_input(in);
-  drop_loops(arcs);
-  dedup_arcs(arcs);
-  const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
-
-  // PREPARE (§B.2): densify with Vanilla while m/n' is below target.
-  vanilla_prepare(forest, arcs, m0, params.prepare_target_density,
-                  params.prepare_max_phases, params.seed, 0xAA00, out.stats);
-
-  theorem1_phases(forest, arcs, m0, params, out.stats);
+  ParentForest forest;
+  // PREPARE (§B.2): densify while m/n' is below target.
+  Prepared p = prepare(in, forest, params.prepare_target_density,
+                       params.prepare_max_phases, params.seed, 0xAA00,
+                       out.stats);
+  theorem1_phases(forest, p.arcs, p.m0, params, out.stats);
 
   forest.flatten();
   out.labels = forest.root_labels();

@@ -3,7 +3,7 @@
 //   PREPARE; repeat { EXPAND; VOTE; LINK; SHORTCUT; ALTER } until no edge
 //   exists other than loops.
 //
-// PREPARE densifies (runs Vanilla phases) when m/n is small; each phase then
+// PREPARE densifies (core/prepare.hpp) when m/n is small; each phase then
 // expands neighbour sets to balls of doubling radius (O(log d) inner
 // rounds), elects leaders, and contracts, multiplying the density m/n' by a
 // b^{Ω(1)} factor per phase — hence O(log log) phases.
@@ -26,18 +26,21 @@ struct Theorem1Params {
   // Per-phase sizing from the density δ = m / n' (paper exponents in
   // comments): block size δ^block_exp (2/3), table |H(u)| = δ^table_exp
   // (1/3), progress parameter b = δ^b_exp (1/18). Practical defaults trade
-  // the asymptotic constants for observable progress at laptop scale
-  // (DESIGN.md §5.2).
+  // the asymptotic constants for observable progress at laptop scale: at
+  // δ = 64 the paper's exponents give 4-cell tables and b = 64^{1/18} < 2,
+  // which the sizing clamps up to 2.
   double block_exp = 2.0 / 3.0;
   double table_exp = 2.0 / 3.0;
   double b_exp = 1.0 / 3.0;
   std::uint32_t min_table_capacity = 8;
 
-  /// PREPARE runs Vanilla phases until m/n' reaches this density (the
-  /// paper's log^c n) or the graph is solved or the phase budget runs out.
+  /// PREPARE (core/prepare.hpp) densifies until m/n' reaches this density
+  /// (the paper's log^c n) or the graph is solved or the budget runs out;
+  /// an input already this dense skips its sample.
   double prepare_target_density = 64.0;
-  /// Phase budget; kAutoPreparePhases = Θ(log log n), see vanilla.hpp for
-  /// why a fixed budget exists.
+  /// Budget of sample rounds plus Vanilla phases; kAutoPreparePhases =
+  /// Θ(log log n), see vanilla.hpp for why a fixed budget exists. 0 turns
+  /// PREPARE off.
   std::uint64_t prepare_max_phases = kAutoPreparePhases;
 
   /// 0 = automatic: C · log log_{m/n} n + K phases before the deterministic
@@ -48,8 +51,10 @@ struct Theorem1Params {
   /// false — the ñ update rule of §B.5 (pure ARBITRARY CRCW).
   bool exact_count = true;
 
-  /// Paper-faithful exponents; see DESIGN.md §5.2 for why this mode mostly
-  /// degenerates to PREPARE at feasible n.
+  /// Paper-faithful exponents. Its PREPARE target log^100 n exceeds any
+  /// feasible m/n', and its phase budget is in the thousands, so at feasible
+  /// n PREPARE runs until the graph is solved: the mode mostly degenerates
+  /// to PREPARE.
   static Theorem1Params paper(std::uint64_t n, std::uint64_t m);
 };
 

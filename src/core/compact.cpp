@@ -1,9 +1,7 @@
 #include "core/compact.hpp"
 
-#include <algorithm>
-
+#include "core/prepare.hpp"
 #include "core/round_arena.hpp"
-#include "core/vanilla.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/hashing.hpp"
@@ -68,19 +66,14 @@ CompactResult compact(const graph::ArcsInput& in, const CompactParams& params) {
   RoundArena round_arena;
   RoundArena::Scope arena_scope(round_arena);
   const std::uint64_t n = in.num_vertices();
-  out.outer.reset(n);
-  std::vector<Arc> arcs = arcs_from_input(in);
-  drop_loops(arcs);
-  dedup_arcs(arcs);
-  const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
 
-  // PREPARE: Vanilla phases until the density target or the phase budget.
-  // It leaves the ongoing roots marked; rename them via approximate
+  // PREPARE leaves the ongoing roots marked; rename them via approximate
   // compaction.
   OngoingSet ongoing;
-  vanilla_prepare(out.outer, arcs, m0, params.target_density,
-                  params.prepare_max_phases, params.seed, 0xC0DE00, out.stats,
-                  nullptr, &ongoing);
+  const std::vector<Arc> arcs =
+      prepare(in, out.outer, params.target_density, params.prepare_max_phases,
+              params.seed, 0xC0DE00, out.stats, nullptr, &ongoing)
+          .arcs;
 
   out.renamed_of.assign(n, CompactResult::kInvalid);
   if (ongoing.count == 0) {

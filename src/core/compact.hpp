@@ -3,10 +3,11 @@
 // Why it exists (§1.2.2): Theorem 3 allocates different-sized processor
 // blocks every round; doing that with approximate compaction costs
 // O(log* n) per use unless the id space is first shrunk so that each array
-// cell owns polylog(n) processors. COMPACT therefore (a) runs Vanilla
-// phases until the ongoing-vertex count is small relative to m, then
-// (b) renames the ongoing roots into a dense id space of length 2k via
-// approximate compaction (Definition D.1) and hands out the initial blocks.
+// cell owns polylog(n) processors. COMPACT therefore (a) runs PREPARE
+// (core/prepare.hpp) until the ongoing-vertex count is small relative to
+// m, then (b) renames the ongoing roots into a dense id space of length 2k
+// via approximate compaction (Definition D.1) and hands out the initial
+// blocks.
 //
 // The vector-based compaction here is the same randomized retry algorithm
 // as pram::approximate_compaction (which runs on the step simulator); this
@@ -36,7 +37,7 @@ struct CompactParams {
   std::uint64_t seed = 1;
   /// PREPARE target: densify until m / #ongoing >= this (or solved).
   double target_density = 64.0;
-  /// Phase budget; kAutoPreparePhases = Θ(log log n) (see vanilla.hpp).
+  /// PREPARE budget; kAutoPreparePhases = Θ(log log n) (see vanilla.hpp).
   std::uint64_t prepare_max_phases = kAutoPreparePhases;
 };
 

@@ -31,7 +31,7 @@ struct FasterCcParams {
 
   /// COMPACT / PREPARE density target (the paper's log^c n).
   double prepare_target_density = 64.0;
-  /// Phase budget; kAutoPreparePhases = Θ(log log n) (see vanilla.hpp).
+  /// PREPARE budget; kAutoPreparePhases = Θ(log log n) (see vanilla.hpp).
   std::uint64_t prepare_max_phases = kAutoPreparePhases;
 
   /// 0 = automatic: C·(log2 n + log log n) + K rounds before the

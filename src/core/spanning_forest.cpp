@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "core/expand.hpp"
+#include "core/prepare.hpp"
 #include "core/round_arena.hpp"
 #include "core/table_slab.hpp"
-#include "core/vanilla.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/scan.hpp"
@@ -163,19 +163,15 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
   SfResult out;
   RoundArena round_arena;
   RoundArena::Scope arena_scope(round_arena);
-  ParentForest forest(in.num_vertices());
-  std::vector<Arc> arcs = arcs_from_input(in);
-  drop_loops(arcs);
-  dedup_arcs(arcs);
-  const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
+  ParentForest forest;
   std::vector<std::uint8_t> in_forest(in.num_edges(), 0);
 
-  // FOREST-PREPARE: Vanilla-SF densification.
-  vanilla_prepare(forest, arcs, m0, params.prepare_target_density,
-                  params.prepare_max_phases, params.seed, 0xF0AE57, out.stats,
-                  &in_forest);
+  // FOREST-PREPARE: every hook marks the input edge that realised it.
+  Prepared p = prepare(in, forest, params.prepare_target_density,
+                       params.prepare_max_phases, params.seed, 0xF0AE57,
+                       out.stats, &in_forest);
   // Theorem 1's phase loop with TREE-LINK and TREE-SHORTCUT.
-  theorem1_phases(forest, arcs, m0, params, out.stats, &in_forest);
+  theorem1_phases(forest, p.arcs, p.m0, params, out.stats, &in_forest);
 
   for (std::uint64_t i = 0; i < in_forest.size(); ++i)
     if (in_forest[i]) out.forest_edges.push_back(i);

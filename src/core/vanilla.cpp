@@ -94,16 +94,19 @@ template std::uint64_t vanilla_phases(ParentForest&, std::vector<Arc>&,
 template std::uint64_t vanilla_phases(ParentForest64&, std::vector<Arc64>&,
                                       const VanillaOptions&, RunStats&);
 
+std::uint64_t prepare_phase_budget(std::uint64_t n, std::uint64_t m0,
+                                   std::uint64_t max_phases) {
+  if (max_phases != kAutoPreparePhases) return max_phases;
+  return static_cast<std::uint64_t>(2.0 * util::loglog_density(n, m0)) + 4;
+}
+
 std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,
                               std::uint64_t m0, double target_density,
                               std::uint64_t max_phases, std::uint64_t seed,
                               std::uint64_t salt, RunStats& stats,
                               std::vector<std::uint8_t>* in_forest,
                               OngoingSet* ongoing) {
-  if (max_phases == kAutoPreparePhases)
-    max_phases = static_cast<std::uint64_t>(
-                     2.0 * util::loglog_density(forest.size(), m0)) +
-                 4;
+  max_phases = prepare_phase_budget(forest.size(), m0, max_phases);
   const std::uint64_t phases_before = stats.phases;
   VanillaOptions vo;
   vo.max_phases = 1;

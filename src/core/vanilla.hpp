@@ -1,10 +1,10 @@
 // Vanilla algorithm (§B.1) — Reif's random-vote leader contraction recast in
 // the paper's framework — and Vanilla-SF (§C.1), its spanning-forest variant.
 //
-// Used three ways: standalone O(log n) randomized baseline, the one PREPARE
-// loop (`vanilla_prepare`) that Theorem 1's PREPARE, Theorem 2's
-// FOREST-PREPARE and Theorem 3's COMPACT all call, and (run to completion)
-// part of the library's guaranteed finisher.
+// Used three ways: standalone O(log n) randomized baseline, the Vanilla
+// stage (`vanilla_prepare`) of the one PREPARE entry (core/prepare.hpp)
+// that Theorem 1's PREPARE, Theorem 2's FOREST-PREPARE and Theorem 3's
+// COMPACT all call, and the contraction of the wide faster-cc bridge.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +36,18 @@ std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
                              const VanillaOptions& opt, RunStats& stats);
 
 /// PREPARE phase-budget sentinel, shared by Theorem1Params, CompactParams
-/// and FasterCcParams. It resolves to Θ(log log n) phases — the paper's
-/// fixed PREPARE budget (c · log_{8/7} log n). A constant-density stopping
-/// rule alone would contract high-diameter graphs all the way down and erase
-/// the log d term the experiments measure.
+/// and FasterCcParams. It resolves to Θ(log log n) steps — the paper's
+/// fixed PREPARE budget (c · log_{8/7} log n) — shared by the sample
+/// contraction's rounds and the Vanilla phases after it. Without it the
+/// sample contraction would run its O(log n) worst-case rounds, and the
+/// Vanilla stage would contract a sparse remnant all the way down.
 inline constexpr std::uint64_t kAutoPreparePhases =
     static_cast<std::uint64_t>(-1);
+
+/// `max_phases` with kAutoPreparePhases resolved against (n, m0):
+/// 2 · loglog_density(n, m0) + 4.
+std::uint64_t prepare_phase_budget(std::uint64_t n, std::uint64_t m0,
+                                   std::uint64_t max_phases);
 
 /// The ongoing vertices as mark_ongoing leaves them: n byte flags and
 /// their count.
@@ -50,14 +56,15 @@ struct OngoingSet {
   std::uint64_t count = 0;
 };
 
-/// PREPARE (§B.2), FOREST-PREPARE (§C.1) and COMPACT's densification (§D):
-/// one-phase Vanilla steps on (forest, arcs) until m0 / #ongoing reaches
-/// `target_density`, no non-loop arc remains, or `max_phases` phases ran
-/// (kAutoPreparePhases = 2 · loglog_density(n, m0) + 4). Each iteration
-/// marks the ongoing set first, so the loop ends on a marking of the final
-/// arcs; `ongoing`, when given, receives it. Phase p (from 0) draws its
-/// coins from mix64(seed, salt + p). With `in_forest` set it runs
-/// Vanilla-SF: every LINK marks its input edge (`(*in_forest)[orig] = 1`).
+/// The Vanilla stage of PREPARE (core/prepare.hpp), on the arcs that
+/// survive its sample contraction: one-phase Vanilla steps on (forest,
+/// arcs) until m0 / #ongoing reaches `target_density`, no non-loop arc
+/// remains, or `max_phases` phases ran (resolved by prepare_phase_budget).
+/// Each iteration marks the ongoing set first, so the loop ends on a
+/// marking of the final arcs; `ongoing`, when given, receives it. Phase p
+/// (from 0) draws its coins from mix64(seed, salt + p). With `in_forest`
+/// set it runs Vanilla-SF: every LINK marks its input edge
+/// (`(*in_forest)[orig] = 1`).
 /// The phases are counted in stats.prepare_phases, not stats.phases, and
 /// stats.prepare_used is set iff at least one ran. Returns that count.
 std::uint64_t vanilla_prepare(ParentForest& forest, std::vector<Arc>& arcs,

@@ -9,9 +9,9 @@
 // ArcsInput is the non-owning fix: a `{n, span-of-edges | CsrView}` sum
 // type. Edge-list-backed inputs view the caller's vector; CSR-backed inputs
 // alias the mmap pages (or a Graph's arrays) directly, and the algorithms'
-// ingestion path (core::arcs_from_input) scatters arcs straight from the
-// CSR into their caller-owned scratch — no intermediate EdgeList ever
-// exists. An EdgeList converts to an ArcsInput implicitly (a free view), so
+// ingestion paths (core::prepare, core::arcs_from_input) read arcs straight
+// from the CSR into their caller-owned scratch — no intermediate EdgeList
+// ever exists. An EdgeList converts to an ArcsInput implicitly (a free view), so
 // each entry point has exactly one signature per index width and no
 // EdgeList overloads.
 //
@@ -79,8 +79,8 @@ using CsrView64 = BasicCsrView<VertexId64>;
 /// undirected edge u is the smaller endpoint of (self-loops once, parallel
 /// copies kept). THE definition of the canonical edge order: every
 /// canonical enumerator (ArcsInput::for_each_edge, edge_list_from_csr,
-/// core::arcs_from_input) walks these suffixes with vertices ascending, so
-/// the order is specified in exactly one place.
+/// core::arcs_from_input, core::prepare) walks these suffixes with vertices
+/// ascending, so the order is specified in exactly one place.
 template <typename V>
 inline const V* csr_suffix_begin(const BasicCsrView<V>& v, V u) {
   auto nb = v.neighbors(u);

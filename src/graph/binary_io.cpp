@@ -481,8 +481,9 @@ BasicEdgeList<V> edge_list_from_csr_impl(const BasicCsrView<V>& v) {
   out.n = v.n;
   // Canonical smaller-endpoint order via the shared csr_suffix_begin
   // (arcs_input.hpp) — the same sequence the CSR-native ingestion
-  // (core::arcs_from_input) and ArcsInput::for_each_edge emit, which is
-  // what makes the materializing and zero-copy paths bit-identical.
+  // (core::prepare, core::arcs_from_input) and ArcsInput::for_each_edge
+  // emit, which is what makes the materializing and zero-copy paths
+  // bit-identical.
   util::parallel_emit<BasicEdge<V>>(
       static_cast<std::size_t>(v.n), out.edges,
       [&](std::size_t u) { return csr_suffix(v, static_cast<V>(u)).size(); },
@@ -568,7 +569,7 @@ bool load_dataset_zero_copy(const std::string& spec, DatasetHandle& out,
     // Deep validation before any accessor dereferences interior offsets: a
     // corrupt (but envelope-consistent) file must be a clean error, not an
     // out-of-bounds read — and the symmetry check matters doubly here,
-    // because the CSR-native ingestion (core::arcs_from_input) and
+    // because the CSR-native ingestion (core::prepare, arcs_from_input) and
     // edge_list_from_csr both emit from smaller-endpoint arc suffixes, so
     // an asymmetric file would silently drop edges rather than crash.
     const bool valid = out.bg_.wide() ? validate_csr(out.bg_.view64(), error)

@@ -15,9 +15,7 @@ Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "prog") {
     }
     if (arg.rfind("--", 0) == 0) {
       std::string body = arg.substr(2);
-      // The value is built here and moved in once: assigning the literal
-      // to the map's string drew a GCC 12 -Wrestrict false positive.
-      std::string value = "1";  // bare flag
+      std::optional<std::string> value;  // none: a bare `--name`
       auto eq = body.find('=');
       if (eq != std::string::npos) {
         value = body.substr(eq + 1);
@@ -32,31 +30,42 @@ Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "prog") {
   }
 }
 
+const std::string* Cli::value_of(const std::string& name) {
+  auto it = values_.find(name);
+  if (it == values_.end()) return nullptr;
+  if (!it->second) {
+    missing_value_.push_back(name);
+    return nullptr;
+  }
+  return &*it->second;
+}
+
 std::string Cli::get_string(const std::string& name, const std::string& def,
                             const std::string& help) {
   declared_[name] = {help, def};
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = value_of(name);
+  return v ? *v : def;
 }
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
                           const std::string& help) {
   declared_[name] = {help, std::to_string(def)};
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* v = value_of(name);
+  return v ? std::strtoll(v->c_str(), nullptr, 10) : def;
 }
 
 double Cli::get_double(const std::string& name, double def,
                        const std::string& help) {
   declared_[name] = {help, std::to_string(def)};
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = value_of(name);
+  return v ? std::strtod(v->c_str(), nullptr) : def;
 }
 
 bool Cli::get_flag(const std::string& name, const std::string& help) {
   declared_[name] = {help, "false"};
   auto it = values_.find(name);
-  return it != values_.end() && it->second != "0" && it->second != "false";
+  if (it == values_.end()) return false;
+  return !it->second || (*it->second != "0" && *it->second != "false");
 }
 
 void Cli::finish() {
@@ -68,6 +77,11 @@ void Cli::finish() {
                    name.c_str());
       bad = true;
     }
+  }
+  for (const std::string& name : missing_value_) {
+    std::fprintf(stderr, "%s: option --%s needs a value\n", program_.c_str(),
+                 name.c_str());
+    bad = true;
   }
   if (help_requested_ || bad) {
     std::fprintf(bad ? stderr : stdout, "usage: %s [options]\n",

@@ -13,7 +13,8 @@ TEST(Api, DefaultAlgorithmIsFasterCc) {
   auto el = graph::make_gnm(100, 300, 1);
   auto r = connected_components(el);
   EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels()));
-  EXPECT_GT(r.stats.rounds + r.stats.phases, 0u);
+  // The sampled PREPARE may finish this graph alone: its rounds count too.
+  EXPECT_GT(r.stats.rounds + r.stats.phases + r.stats.prepare_phases, 0u);
 }
 
 TEST(Api, LabelsAreCanonicalMinIds) {

@@ -73,8 +73,8 @@ TEST(ParamPolicy, TableCapacityModes) {
 }
 
 TEST(ParamPolicy, PaperModeSaturatesImmediatelyAtFeasibleN) {
-  // log^200 n dwarfs any feasible m/n: b1 hits the cap, exactly as DESIGN.md
-  // §5.2 documents.
+  // log^200 n dwarfs any feasible m/n: b1 hits the cap, as the header of
+  // core/budget.hpp says.
   ParamPolicy p = ParamPolicy::paper(1 << 20, 1 << 22);
   EXPECT_EQ(p.b1, p.budget_cap);
   EXPECT_EQ(p.saturation_level(), 1u);

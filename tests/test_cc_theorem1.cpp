@@ -53,7 +53,7 @@ TEST(Theorem1, FewPhasesOnDenseLowDiameter) {
 TEST(Theorem1, ExpandRoundsTrackLogDiameter) {
   // Inner expand rounds grow with log d (per phase).
   Theorem1Params p;
-  p.prepare_target_density = 1.0;  // no PREPARE: keep the path intact
+  p.prepare_max_phases = 0;  // no PREPARE: keep the path intact
   auto short_d = theorem1_cc(graph::make_gnm(512, 4096, 3), p);
   auto long_d = theorem1_cc(graph::make_path(512), p);
   EXPECT_TRUE(matches_oracle(graph::make_path(512), long_d.labels));
@@ -97,7 +97,9 @@ TEST(Theorem1, SpaceLedgerLinearInM) {
 
 TEST(Theorem1, StatsPopulated) {
   auto el = graph::make_gnm(200, 2000, 11);
-  auto r = theorem1_cc(el);
+  Theorem1Params p;
+  p.prepare_max_phases = 0;  // the sampled PREPARE would solve it alone
+  auto r = theorem1_cc(el, p);
   EXPECT_GT(r.stats.phases, 0u);
   EXPECT_GT(r.stats.pram_steps, 0u);
   EXPECT_GT(r.stats.peak_space_words, 0u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace logcc::util {
@@ -53,6 +54,27 @@ TEST(Cli, PositionalArguments) {
   Cli cli = make_cli({"--n=1", "input.txt", "more"});
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "input.txt");
+}
+
+TEST(CliDeath, BareOptionNeedingAValueAborts) {
+  // `--forest --stats` once wrote the forest to a file named "1".
+  for (const char* kind : {"string", "int", "double"}) {
+    EXPECT_EXIT(
+        {
+          Cli cli = make_cli({"--forest", "--stats"});
+          EXPECT_TRUE(cli.get_flag("stats"));
+          if (std::string(kind) == "string") {
+            EXPECT_EQ(cli.get_string("forest", ""), "");
+          } else if (std::string(kind) == "int") {
+            EXPECT_EQ(cli.get_int("forest", 3), 3);
+          } else {
+            EXPECT_EQ(cli.get_double("forest", 0.5), 0.5);
+          }
+          cli.finish();
+        },
+        ::testing::ExitedWithCode(2), "option --forest needs a value")
+        << kind;
+  }
 }
 
 TEST(CliDeath, UnknownOptionAborts) {

@@ -111,6 +111,12 @@ TEST_F(DifferentialCc, EveryAlgorithmMatchesUnionFindOracleOnBothPaths) {
   }
 }
 
+/// The RunStats counters that measure work done, in a comparable form.
+std::vector<std::uint64_t> work(const core::RunStats& s) {
+  return {s.phases, s.prepare_phases, s.rounds, s.expand_rounds,
+          s.peak_space_words};
+}
+
 TEST_F(DifferentialCc, CsrPathIsBitIdenticalToCanonicalEdgeListPath) {
   // The CSR path must not merely agree up to partition: it must produce the
   // same bytes as materialize-then-run. A thinned corpus keeps this under a
@@ -134,6 +140,12 @@ TEST_F(DifferentialCc, CsrPathIsBitIdenticalToCanonicalEdgeListPath) {
       // ComponentIndex equality covers labels, sizes, and count at once.
       ASSERT_TRUE(a.index == b.index) << c.name << " alg=" << to_string(alg);
       ASSERT_EQ(fingerprint(a.labels()), fingerprint(b.labels()));
+      // Min-id labels hide how they were reached: a path-specific PREPARE
+      // sample would still agree on them, so the work counters must agree
+      // too.
+      ASSERT_EQ(work(a.stats), work(b.stats))
+          << c.name << " alg=" << to_string(alg)
+          << ": CSR-native counters diverge from the canonical EdgeList run";
     }
     ++covered;
   }
@@ -294,12 +306,15 @@ TEST_F(DifferentialCc, ForcedWideBridgeReportsTheNarrowRunsCounters) {
   // The contract-then-delegate branch finishes on the narrow faster_cc, so
   // the caller must see that run's counters whole (EXPAND-MAXLINK rounds,
   // PREPARE phases, peak space, levels), not only its phases and steps.
-  const graph::EdgeList el = graph::make_family("gnm8", 20000, 5);
+  const graph::EdgeList el = graph::make_family("grid", 20000, 5);
   graph::EdgeList64 wide_el;
   wide_el.n = el.n;
   for (const graph::Edge& e : el.edges) wide_el.add(e.u, e.v);
   core::FasterCcParams params;
   params.seed = 5;
+  // One PREPARE round: with the whole budget the sample contracts the
+  // narrow graph alone, and EXPAND-MAXLINK has nothing to report.
+  params.prepare_max_phases = 1;
   const auto wb =
       core::faster_cc(wide_el, params, /*narrow_threshold=*/el.edges.size() / 2);
   EXPECT_EQ(graph::canonical_labels(wb.labels),

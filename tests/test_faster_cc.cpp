@@ -32,7 +32,7 @@ TEST(FasterCc, RoundsGrowWithLogDiameterNotN) {
   // The headline claim, at test scale: doubling n at fixed structure
   // (star: d = 2) keeps rounds flat, while rounds grow ~log d on paths.
   FasterCcParams p;
-  p.prepare_target_density = 1.0;  // isolate the Thm-3 loop from PREPARE
+  p.prepare_max_phases = 0;  // isolate the Thm-3 loop from PREPARE
   auto star_small = faster_cc(graph::make_star(512), p);
   auto star_big = faster_cc(graph::make_star(8192), p);
   EXPECT_LE(star_big.stats.rounds, star_small.stats.rounds + 6);
@@ -90,9 +90,10 @@ TEST(FasterCc, EdgelessAndTiny) {
 }
 
 TEST(FasterCc, PreparePhasesReportedSeparately) {
-  // A sparse path triggers COMPACT's PREPARE; the densification phases go
-  // into prepare_phases, never into the theorem-loop counters.
-  auto el = graph::make_path(2000);
+  // A sparse graph triggers COMPACT's PREPARE; the densification phases go
+  // into prepare_phases, never into the theorem-loop counters. The sample
+  // misses the spine, so EXPAND-MAXLINK gets a remnant to run on.
+  auto el = logcc::testing::hidden_spine(2000);
   auto r = faster_cc(el);
   EXPECT_TRUE(r.stats.prepare_used);
   EXPECT_GT(r.stats.prepare_phases, 0u);

@@ -82,14 +82,16 @@ TEST(Theorem2, ForcedFinisherStillValid) {
 }
 
 TEST(Theorem2, NTildeRuleStillValid) {
-  SpanningForestParams p;
+  SpanningForestParams exact;
+  exact.prepare_max_phases = 0;  // leave the phase loop all the work
+  SpanningForestParams p = exact;
   p.exact_count = false;  // §B.5 update rule instead of combining count
   int resized = 0;  // graphs whose phase sizing the rule changed
   for (const auto& [name, el] : logcc::testing::small_zoo()) {
     auto r = theorem2_sf(el, p);
     expect_valid_forest(el, r, name);
     resized += r.stats.total_block_words !=
-               theorem2_sf(el).stats.total_block_words;
+               theorem2_sf(el, exact).stats.total_block_words;
   }
   EXPECT_GT(resized, 0);  // the phase loop honours exact_count
 }
@@ -151,19 +153,21 @@ TEST_F(ThreadInvariance, ForestEdgesIdenticalAcrossThreads) {
 // collision or a leader) and accepted at a smaller one, so the forest is
 // only right when that retry starts from an empty table. The fingerprints
 // (FNV-1a over the forest edge indices) were recorded with per-radius
-// resets; stale Q' entries move them.
+// resets and PREPARE off; a slab reset once per TREE-LINK instead of once
+// per radius moves each of them.
 TEST_F(ThreadInvariance, TreeLinkRetryStartsFromEmptyQPrime) {
   struct Case {
     const char* family;
     std::uint64_t n, seed, fingerprint;
   };
-  const Case cases[] = {{"cycle", 10000, 1, 0x1bf5e7a53032c9b6ULL},
-                        {"cycle", 10000, 6, 0x59cff1c55c0b6c95ULL},
-                        {"lollipop", 2000, 4, 0x5fe249ba0183c9b3ULL}};
+  const Case cases[] = {{"cycle", 10000, 9, 0x6a81afc238264bb5ULL},
+                        {"cycle", 10000, 12, 0x4cdd0820e1b89f46ULL},
+                        {"lollipop", 2000, 4, 0x48199e8bc488aa4cULL}};
   for (const Case& c : cases) {
     const auto el = graph::make_family(c.family, c.n, 1);
     SpanningForestParams p;
     p.seed = c.seed;
+    p.prepare_max_phases = 0;  // the sampled PREPARE would solve these alone
     for (int threads : {1, 4}) {
       util::set_parallelism(threads);
       const auto sf = theorem2_sf(el, p);

@@ -46,9 +46,26 @@ inline ::testing::AssertionResult matches_oracle(
   return ::testing::AssertionSuccess();
 }
 
+/// A path of k spine vertices (ids k .. 2k-1) where spine vertex k + i
+/// also has a private leaf i below every spine id and a private leaf
+/// 2k + i above them. Each spine vertex's smallest and largest neighbours
+/// are its leaves, so PREPARE's neighbour sample (core/prepare.hpp) holds
+/// no spine edge: the whole spine survives the sample contraction.
+inline graph::EdgeList hidden_spine(std::uint64_t k) {
+  auto id = [](std::uint64_t v) { return static_cast<graph::VertexId>(v); };
+  graph::EdgeList el;
+  el.n = 3 * k;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    el.add(id(k + i), id(i));
+    el.add(id(k + i), id(2 * k + i));
+    if (i + 1 < k) el.add(id(k + i), id(k + i + 1));
+  }
+  return el;
+}
+
 /// A small-but-varied collection of graphs exercising every structural
 /// regime (empty, single edge, loops, high diameter, dense, skewed,
-/// multi-component).
+/// multi-component, and a spine PREPARE's sample misses).
 inline std::vector<std::pair<std::string, graph::EdgeList>> small_zoo(
     std::uint64_t seed = 7) {
   using namespace graph;
@@ -78,6 +95,7 @@ inline std::vector<std::pair<std::string, graph::EdgeList>> small_zoo(
   zoo.emplace_back("caterpillar", make_caterpillar(24, 3));
   zoo.emplace_back("lollipop", make_lollipop(12, 40));
   zoo.emplace_back("path-forest", make_path_forest(6, 17));
+  zoo.emplace_back("hidden-spine", hidden_spine(40));
   return zoo;
 }
 

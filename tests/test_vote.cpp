@@ -51,9 +51,12 @@ TEST(Vote, LiveComponentsElectExactlyTheMinId) {
 
 TEST(Vote, DormantLeaderRateMatchesProbability) {
   // Make everyone fully dormant (no blocks): election is a pure Bernoulli.
+  // Table capacity plays no part then, so keep the slab small (generous
+  // capacity here would be 4000 tables of 64003 cells, a 2 GB slab).
   auto el = graph::make_path(4000);
   ExpandParams p = generous(el.n);
   p.block_count = 1;
+  p.table_capacity = 8;
   VoteHarness h(el, p);
   VoteParams vp;
   vp.dormant_leader_prob = 0.25;
